@@ -43,11 +43,10 @@ from .graphkit import (
     to_dot,
     validate_automorphism,
 )
-from .intlinalg import IntMatrix, Lattice, QuotientInvariants, kernel_basis
+from .intlinalg import IntMatrix, Lattice, QuotientInvariants
 from .ktheory import compute_k, induced_action, stabilization_check, verify_group_graph
 from .lattice_props import (
     InclusionPair,
-    check_t_condition,
     check_t_intersection,
     find_impurity_witness,
     inclusion_diagram,
@@ -111,27 +110,6 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _poly_text(elt) -> str:
-    """Render a ring element as a plain polynomial in x, low degree first."""
-    terms = []
-    for i, c in enumerate(elt.coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            xi = "x" if i == 1 else f"x^{i}"
-            if c == 1:
-                terms.append(xi)
-            elif c == -1:
-                terms.append(f"-{xi}")
-            else:
-                terms.append(f"{c}*{xi}")
-    if not terms:
-        return "0"
-    return " + ".join(terms).replace("+ -", "- ")
-
-
 def _read_spec_arg(raw: str) -> str:
     """A SPEC argument starting with @ names a file holding the spec text."""
     if raw.startswith("@"):
@@ -163,10 +141,10 @@ def cmd_ring_identities(cfg: WorkbenchConfig, args) -> int:
     ids = decompose_prime(cfg.p)
     rep = Report("ring-identities")
     rep.say(f"p = {cfg.p}")
-    rep.say(f"core: {_poly_text(ids.core)}")
+    rep.say(f"core: {ids.core}")
     rep.say(f"core at 1: {sum(ids.core.coeffs)}")
-    rep.say(f"twist_coeff: {_poly_text(ids.twist_coeff)}")
-    rep.say(f"norm_coeff: {_poly_text(ids.norm_coeff)}")
+    rep.say(f"twist_coeff: {ids.twist_coeff}")
+    rep.say(f"norm_coeff: {ids.norm_coeff}")
     ok = all(check_twist_power_identity(cfg.p, k) for k in range(1, cfg.kmax + 1))
     rep.say(f"power identities up to k = {cfg.kmax}: {'ok' if ok else 'FAILED'}")
     rep.put("p", cfg.p)
@@ -191,9 +169,9 @@ def _build_module(cfg: WorkbenchConfig, raw_spec: str) -> FinMod:
 
 
 def _orbit_summary(m: FinMod) -> tuple[int, int]:
-    free = sum(1 for orb in m.orbits() if len(orb) > 1)
-    fixed = sum(1 for orb in m.orbits() if len(orb) == 1)
-    return free, fixed
+    orbits = m.orbits()
+    fixed = sum(1 for orb in orbits if len(orb) == 1)
+    return len(orbits) - fixed, fixed
 
 
 def cmd_module(cfg: WorkbenchConfig, args) -> int:
@@ -224,10 +202,11 @@ def cmd_module(cfg: WorkbenchConfig, args) -> int:
         rep.say(f"presentation of {_read_spec_arg(args.spec)} over p = {cfg.p}")
         rep.say(f"elements: {pres.size}")
         rep.say(f"kernel rank: {eq.rank}")
-        rep.say(f"noncyclotomic: {str(eq.is_noncyclotomic()).lower()}")
+        ok = eq.is_noncyclotomic()
+        rep.say(f"noncyclotomic: {str(ok).lower()}")
         rep.put("elements", pres.size)
         rep.put("kernel_rank", eq.rank)
-        rep.put("noncyclotomic", eq.is_noncyclotomic())
+        rep.put("noncyclotomic", ok)
         rep.emit(cfg)
         return EXIT_OK
 
@@ -253,11 +232,12 @@ def cmd_module(cfg: WorkbenchConfig, args) -> int:
         return EXIT_OK
 
     if args.action == "check-noncyc":
-        ok = eq.is_noncyclotomic()
+        coords = eq.noncyclotomic_witness()
+        ok = coords is None
         rep.say(f"noncyclotomic: {str(ok).lower()}")
         rep.put("noncyclotomic", ok)
         if not ok:
-            coords, ambient = _noncyc_witness(eq)
+            ambient = eq.lattice.basis.apply(coords)
             rep.say(f"witness in norm kernel outside twist image: {_vec_text(coords)}")
             rep.say(f"witness in ambient coordinates: {_vec_text(ambient)}")
             rep.put("witness_coords", list(coords))
@@ -266,29 +246,6 @@ def cmd_module(cfg: WorkbenchConfig, args) -> int:
         return EXIT_OK if ok else EXIT_FALSE
 
     raise ParseError(f"unknown module action {args.action!r}")
-
-
-def _noncyc_witness(eq) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A norm-kernel basis vector missing from the twist image.
-
-    Exists whenever is_noncyclotomic() is false: the twist image always
-    sits inside the norm kernel, so a strict mismatch leaves some basis
-    vector of the kernel outside.
-    """
-    c = eq.restricted()
-    r = c.rows
-    norm = IntMatrix.identity(r)
-    acc = IntMatrix.identity(r)
-    for _ in range(eq.p - 1):
-        acc = c @ acc
-        norm = norm + acc
-    twist = Lattice(r, c - IntMatrix.identity(r))
-    ker = kernel_basis(norm)
-    for j in range(ker.basis.cols):
-        v = ker.basis.col(j)
-        if not twist.member(v):
-            return v, eq.lattice.basis.apply(v)
-    raise InternalInvariantError("noncyclotomic check failed without a witness")
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +304,17 @@ def cmd_inclusion(cfg: WorkbenchConfig, args) -> int:
 
     if args.action == "check":
         inter = check_t_intersection(pair)
-        cond = check_t_condition(pair)
+        verdict = find_impurity_witness(pair)
+        cond = verdict is None
         rep.say(f"kernel intersection identity: {str(bool(inter)).lower()}")
         rep.say(f"twist condition: {str(cond).lower()}")
         rep.put("kernel_intersection", bool(inter))
         rep.put("twist_condition", cond)
         if not cond:
-            verdict = find_impurity_witness(pair)
-            if verdict is not None:
-                rep.say(f"impurity witness xi: {_vec_text(verdict.xi)}")
-                rep.say(f"impurity witness lam: {_poly_text(verdict.lam)}")
-                rep.put("witness_xi", list(verdict.xi))
-                rep.put("witness_lam", list(verdict.lam.coeffs))
+            rep.say(f"impurity witness xi: {_vec_text(verdict.xi)}")
+            rep.say(f"impurity witness lam: {verdict.lam}")
+            rep.put("witness_xi", list(verdict.xi))
+            rep.put("witness_lam", list(verdict.lam.coeffs))
         rep.emit(cfg)
         return EXIT_OK if cond else EXIT_FALSE
 
@@ -373,7 +329,7 @@ def cmd_inclusion(cfg: WorkbenchConfig, args) -> int:
             return EXIT_OK
         rep.say("twist condition: false")
         rep.say(f"impurity witness xi: {_vec_text(verdict.xi)}")
-        rep.say(f"impurity witness lam: {_poly_text(verdict.lam)}")
+        rep.say(f"impurity witness lam: {verdict.lam}")
         rep.put("twist_condition", False)
         rep.put("witness", {"xi": list(verdict.xi), "lam": list(verdict.lam.coeffs)})
         rep.emit(cfg)
@@ -386,7 +342,7 @@ def cmd_inclusion(cfg: WorkbenchConfig, args) -> int:
             rep.say("twist condition: false, no commuting inclusion diagram")
             if report.impurity is not None:
                 rep.say(f"impurity witness xi: {_vec_text(report.impurity.xi)}")
-                rep.say(f"impurity witness lam: {_poly_text(report.impurity.lam)}")
+                rep.say(f"impurity witness lam: {report.impurity.lam}")
                 rep.put(
                     "witness",
                     {
@@ -435,14 +391,10 @@ def _group_spec_from_json(data: dict) -> GroupGraphSpec:
         pi0 = tuple((a, tuple(int(x) for x in pi0_map[a])) for a in labels)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad group graph description: {exc!r}")
-    if rel_vectors:
-        rel = Lattice.spanned_by(rel_vectors, rank)
-    else:
-        rel = Lattice(rank)
     return GroupGraphSpec(
         p=p,
         group_rank=rank,
-        group_rel=rel,
+        group_rel=Lattice.spanned_by(rel_vectors, rank),
         group_aut=IntMatrix(aut_rows),
         orbits=orbits,
         pi0=pi0,
@@ -490,6 +442,7 @@ def cmd_graph(cfg: WorkbenchConfig, args) -> int:
 
     if args.action == "build":
         aut = validate_automorphism(graph)
+        irreducible = is_irreducible(graph)
         rep.say(
             f"graph: {len(graph.vertices)} core vertices, "
             f"{len(graph.rays)} ray families"
@@ -499,7 +452,7 @@ def cmd_graph(cfg: WorkbenchConfig, args) -> int:
         for fam in graph.rays:
             rep.say(f"ray {fam.name}: {fam.orientation} at {fam.base}")
         rep.say(f"automorphism order: {aut.order}")
-        rep.say(f"irreducible: {str(is_irreducible(graph)).lower()}")
+        rep.say(f"irreducible: {str(irreducible).lower()}")
         rep.put("core_vertices", list(graph.vertices))
         rep.put("emitter", graph.emitter)
         rep.put(
@@ -510,7 +463,7 @@ def cmd_graph(cfg: WorkbenchConfig, args) -> int:
             ],
         )
         rep.put("automorphism_order", aut.order)
-        rep.put("irreducible", is_irreducible(graph))
+        rep.put("irreducible", irreducible)
         rep.emit(cfg)
         return EXIT_OK
 
@@ -539,7 +492,7 @@ def cmd_graph(cfg: WorkbenchConfig, args) -> int:
         if spec is None:
             raise ParseError("graph verify needs a group graph file (--file)")
         result = verify_group_graph(graph, spec, depth=cfg.depth)
-        kr = compute_k(graph, cfg.depth)
+        kr = result.kresult
         k1 = QuotientInvariants((), kr.k1_rank)
         map_ok = result.check("k0-explicit-isomorphism").passed
         rep.say(

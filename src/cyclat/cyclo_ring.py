@@ -10,6 +10,10 @@ central fact is an explicit decomposition
 produced by an iterated substitution; every step of the iteration is
 re-verified by exact arithmetic, so a returned PrimeIdentities object is
 its own proof.
+
+``RingElt.on`` is the one home of operator polynomials: the norm and
+twist operators of modules and lattices, and every ``lam`` applied to a
+presentation, are ring elements evaluated at an action matrix.
 """
 
 from __future__ import annotations
@@ -113,6 +117,19 @@ class RingElt:
             tuple(tuple(self.coeffs[(i - j) % p] for j in range(p)) for i in range(p))
         )
 
+    def on(self, action: IntMatrix) -> IntMatrix:
+        """The operator sum_e c_e action^e, for an action of order dividing p."""
+        n = action.rows
+        out = IntMatrix.zeros(n, n)
+        power = IntMatrix.identity(n)
+        last = max((e for e, c in enumerate(self.coeffs) if c), default=0)
+        for e in range(last + 1):
+            if e:
+                power = action if e == 1 else action @ power
+            if self.coeffs[e]:
+                out = out + self.coeffs[e] * power
+        return out
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingElt):
             return NotImplemented
@@ -121,7 +138,8 @@ class RingElt:
     def __hash__(self) -> int:
         return hash((self.p, self.coeffs))
 
-    def __repr__(self) -> str:
+    def __str__(self) -> str:
+        """Plain polynomial text in x, low degree first."""
         terms = []
         for e, c in enumerate(self.coeffs):
             if not c:
@@ -136,8 +154,10 @@ class RingElt:
                     terms.append(f"-{mon}")
                 else:
                     terms.append(f"{c}*{mon}")
-        body = " + ".join(terms).replace("+ -", "- ") if terms else "0"
-        return f"RingElt({self.p}, {body})"
+        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+    def __repr__(self) -> str:
+        return f"RingElt({self.p}, {self})"
 
 
 def const(p: int, n: int) -> RingElt:

@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 from math import lcm
 from typing import Optional, Sequence
 
-from .cyclo_ring import is_prime
 from .errors import PreconditionError
-from .intlinalg import IntMatrix, Lattice, column_rank, kernel_basis
+from .intlinalg import IntMatrix, Lattice, column_rank
+from .zmod import FinMod
 
 INWARD = "inward"
 OUTWARD = "outward"
@@ -408,33 +408,15 @@ class GroupGraphSpec:
             out[pos[self.sigma_label(a)]] = b[i]
         return tuple(out)
 
-    def _mod_rel(self, vec: Sequence[int]) -> bool:
-        if self.group_rel.rank == 0:
-            return not any(vec)
-        return self.group_rel.member(tuple(vec))
-
     def pi_matrix(self) -> IntMatrix:
         return IntMatrix.from_cols([self.pi0_of(a) for a in self.labels], rows=self.group_rank)
 
-    def kernel_of_pi(self) -> Lattice:
-        """Vectors over A landing in the relation lattice under pi."""
-        pmat = self.pi_matrix()
-        n = len(self.labels)
-        if self.group_rel.rank == 0:
-            return kernel_basis(pmat)
-        combined = kernel_basis(IntMatrix.hstack(pmat, self.group_rel.basis))
-        head = combined.basis.submatrix(range(n), range(combined.basis.cols))
-        return Lattice(n, head)
-
     def b_lattice(self) -> Lattice:
-        n = len(self.labels)
-        if not self.bvecs:
-            return Lattice(n)
-        return Lattice(n, IntMatrix.from_cols(self.bvecs, rows=n))
+        return Lattice.spanned_by(self.bvecs, len(self.labels))
 
-    def validate(self) -> None:
-        if not is_prime(self.p):
-            raise PreconditionError("p must be prime")
+    def validate(self) -> FinMod:
+        """Check the description and return the group as a module."""
+        group = FinMod(self.p, self.group_rank, self.group_rel, self.group_aut)
         labels = self.labels
         if not labels or len(set(labels)) != len(labels):
             raise PreconditionError("generator labels must be nonempty and distinct")
@@ -448,49 +430,34 @@ class GroupGraphSpec:
         if sorted(a for a, _ in self.pi0) != sorted(labels):
             raise PreconditionError("pi0 must assign exactly the generators")
         r = self.group_rank
-        if self.group_rel.ambient != r:
-            raise PreconditionError("relation lattice lives in the wrong ambient")
-        if self.group_aut.rows != r or self.group_aut.cols != r:
-            raise PreconditionError("automorphism matrix has the wrong shape")
         for a in labels:
             if len(self.pi0_of(a)) != r:
                 raise PreconditionError(f"pi0 value for {a!r} has the wrong length")
-        for j in range(self.group_rel.rank):
-            if not self._mod_rel(self.group_aut.apply(self.group_rel.basis.col(j))):
-                raise PreconditionError("automorphism does not preserve the relations")
-        powp = self.group_aut.pow(self.p) - IntMatrix.identity(r)
-        for j in range(r):
-            if not self._mod_rel(powp.col(j)):
-                raise PreconditionError("automorphism order does not divide p")
         for a in labels:
             diff = [
                 x - y
                 for x, y in zip(self.pi0_of(self.sigma_label(a)), self.group_aut.apply(self.pi0_of(a)))
             ]
-            if not self._mod_rel(diff):
+            if not self.group_rel.member(diff):
                 raise PreconditionError(f"pi0 is not equivariant at {a!r}")
         pmat = self.pi_matrix()
         n = len(labels)
         for b in self.bvecs:
             if len(b) != n:
                 raise PreconditionError("relation vector has the wrong length")
-            if not self._mod_rel(pmat.apply(b)):
+            if not self.group_rel.member(pmat.apply(b)):
                 raise PreconditionError("relation vector is not in the kernel of pi")
-        if self.bvecs:
-            bmat = IntMatrix.from_cols(self.bvecs, rows=n)
-            if column_rank(bmat) != len(self.bvecs):
-                raise PreconditionError("relation vectors are linearly dependent")
+        if column_rank(IntMatrix.from_cols(self.bvecs, rows=n)) != len(self.bvecs):
+            raise PreconditionError("relation vectors are linearly dependent")
         bset = set(self.bvecs)
         for b in self.bvecs:
             if self.gamma_vec(b) not in bset:
                 raise PreconditionError("relation set is not invariant under the action")
-        if self.b_lattice() != self.kernel_of_pi():
+        if self.b_lattice() != self.group_rel.preimage(pmat):
             raise PreconditionError("relation vectors do not span the kernel of pi")
-        cols = [pmat.col(j) for j in range(pmat.cols)]
-        for j in range(self.group_rel.rank):
-            cols.append(self.group_rel.basis.col(j))
-        if r and Lattice(r, IntMatrix.from_cols(cols, rows=r)) != Lattice.full(r):
+        if Lattice(r, IntMatrix.hstack(pmat, self.group_rel.basis)) != Lattice.full(r):
             raise PreconditionError("pi does not reach the whole group")
+        return group
 
 
 def build_group_graph(spec: GroupGraphSpec) -> GadgetGraph:

@@ -15,6 +15,9 @@ Conventions that the rest of the package leans on:
   ``Lattice`` equality decidable by tuple comparison.
 * ``snf`` returns ``U @ A @ V == S`` with nonnegative diagonal and each
   diagonal entry dividing the next.
+* ``Lattice.preimage`` is the one home of ``{w : A w in L}``: fixed
+  submodules, norm kernels, presentation kernels, group relations and
+  lattice intersections are all preimages.
 """
 
 from __future__ import annotations
@@ -67,6 +70,18 @@ class IntMatrix:
     def diag(cls, values: Sequence[int]) -> "IntMatrix":
         n = len(values)
         return cls(tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n)))
+
+    @classmethod
+    def unit_columns(cls, rows: int, targets: Sequence[int]) -> "IntMatrix":
+        """The matrix whose column j is the unit vector e_targets[j] of Z^rows.
+
+        Permutation matrices and the embeddings of one element basis into
+        another are all of this kind.
+        """
+        out = [[0] * len(targets) for _ in range(rows)]
+        for j, i in enumerate(targets):
+            out[i][j] = 1
+        return cls(out, shape=(rows, len(targets)))
 
     @classmethod
     def from_cols(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
@@ -319,9 +334,47 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return h, u
 
 
+def _pivots(h: IntMatrix) -> tuple[int, ...]:
+    """Pivot row of each nonzero column of a column Hermite form.
+
+    The nonzero columns come first and each is zero above its pivot, which
+    lies strictly below the previous one, so one downward sweep finds them.
+    """
+    out = []
+    i = 0
+    for j in range(h.cols):
+        while i < h.rows and h[i, j] == 0:
+            i += 1
+        if i == h.rows:
+            break
+        out.append(i)
+        i += 1
+    return tuple(out)
+
+
+def _hnf_coords(h: IntMatrix, pivots: Sequence[int], v: Sequence[int]) -> Optional[list[int]]:
+    """y with h[:, :len(pivots)] @ y == v by substitution down the pivot rows, or None."""
+    x = list(v)
+    out = []
+    for k, i in enumerate(pivots):
+        c, rem = divmod(x[i], h[i, k])
+        if rem:
+            return None
+        out.append(c)
+        if c:
+            for ii in range(i, len(x)):
+                x[ii] -= c * h[ii, k]
+    return None if any(x) else out
+
+
+def _kernel_columns(a: IntMatrix) -> IntMatrix:
+    """Columns of the HNF transform spanning the integer kernel of a (not reduced)."""
+    h, u = hnf(a)
+    return u.submatrix(range(a.cols), range(len(_pivots(h)), a.cols))
+
+
 def column_rank(a: IntMatrix) -> int:
-    h, _ = hnf(a)
-    return sum(1 for j in range(h.cols) if any(h[i, j] for i in range(h.rows)))
+    return len(_pivots(hnf(a)[0]))
 
 
 # -- Smith form ----------------------------------------------------------------
@@ -449,17 +502,10 @@ class Lattice:
         if basis.rows != ambient:
             raise PreconditionError(f"basis has {basis.rows} rows in ambient Z^{ambient}")
         h, _ = hnf(basis)
-        keep = []
-        pivot_rows = []
-        for j in range(h.cols):
-            col = h.col(j)
-            nz = next((i for i, x in enumerate(col) if x), None)
-            if nz is not None:
-                keep.append(j)
-                pivot_rows.append(nz)
+        pivot_rows = _pivots(h)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", h.submatrix(range(ambient), keep))
-        object.__setattr__(self, "_pivot_rows", tuple(pivot_rows))
+        object.__setattr__(self, "basis", h.submatrix(range(ambient), range(len(pivot_rows))))
+        object.__setattr__(self, "_pivot_rows", pivot_rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")
@@ -488,20 +534,8 @@ class Lattice:
         """Integer coordinates of v in the canonical basis, or None."""
         if len(v) != self.ambient:
             raise PreconditionError("vector not in ambient space")
-        x = list(v)
-        out = []
-        for k in range(self.rank):
-            i = self._pivot_rows[k]
-            c, r = divmod(x[i], self.basis[i, k])
-            if r:
-                return None
-            out.append(c)
-            if c:
-                for ii in range(i, self.ambient):
-                    x[ii] -= c * self.basis[ii, k]
-        if any(x):
-            return None
-        return tuple(out)
+        y = _hnf_coords(self.basis, self._pivot_rows, v)
+        return None if y is None else tuple(y)
 
     def member(self, v: Sequence[int]) -> bool:
         return self.coords(v) is not None
@@ -518,10 +552,18 @@ class Lattice:
         self._same_ambient(other)
         if self.is_zero() or other.is_zero():
             return Lattice(self.ambient)
-        stacked = IntMatrix.hstack(self.basis, -other.basis)
-        ker = kernel_basis(stacked)
-        coeff = ker.basis.submatrix(range(self.rank), range(ker.rank))
-        return Lattice(self.ambient, self.basis @ coeff)
+        return Lattice(self.ambient, other.basis @ self._preimage_gens(other.basis))
+
+    def preimage(self, mat: IntMatrix) -> "Lattice":
+        """{w : mat @ w in self}, as a lattice in Z^(mat.cols)."""
+        if mat.rows != self.ambient:
+            raise PreconditionError("target lattice lives in the wrong space")
+        return Lattice(mat.cols, self._preimage_gens(mat))
+
+    def _preimage_gens(self, mat: IntMatrix) -> IntMatrix:
+        # w with mat w in self are the heads of the kernel of [mat | -basis]
+        ker = _kernel_columns(IntMatrix.hstack(mat, -self.basis))
+        return ker.submatrix(range(mat.cols), range(ker.cols))
 
     def transform(self, m: IntMatrix) -> "Lattice":
         """Image lattice under the linear map m."""
@@ -556,10 +598,7 @@ class Lattice:
 
 def kernel_basis(a: IntMatrix) -> Lattice:
     """Integer kernel of a as a lattice in Z^cols."""
-    h, u = hnf(a)
-    r = sum(1 for j in range(h.cols) if any(h[i, j] for i in range(h.rows)))
-    ker_cols = [u.col(j) for j in range(r, a.cols)]
-    return Lattice(a.cols, IntMatrix.from_cols(ker_cols, rows=a.cols))
+    return Lattice(a.cols, _kernel_columns(a))
 
 
 def solve_columns(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
@@ -567,30 +606,14 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     if a.rows != b.rows:
         raise PreconditionError("row count mismatch")
     h, u = hnf(a)
-    pivots = []
-    for j in range(h.cols):
-        col = h.col(j)
-        nz = next((i for i, x in enumerate(col) if x), None)
-        if nz is None:
-            break
-        pivots.append(nz)
-    r = len(pivots)
+    pivots = _pivots(h)
+    pad = [0] * (a.cols - len(pivots))
     xcols = []
     for jb in range(b.cols):
-        resid = list(b.col(jb))
-        y = [0] * a.cols
-        for k in range(r):
-            i = pivots[k]
-            c, rem = divmod(resid[i], h[i, k])
-            if rem:
-                return None
-            y[k] = c
-            if c:
-                for ii in range(i, a.rows):
-                    resid[ii] -= c * h[ii, k]
-        if any(resid):
+        y = _hnf_coords(h, pivots, b.col(jb))
+        if y is None:
             return None
-        xcols.append(u.apply(y))
+        xcols.append(u.apply(y + pad))
     x = IntMatrix.from_cols(xcols, rows=a.cols) if xcols else IntMatrix.zeros(a.cols, 0)
     if a @ x != b:
         raise InternalInvariantError("solve_columns verification failed")

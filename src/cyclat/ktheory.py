@@ -18,6 +18,7 @@ both groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from .errors import InternalInvariantError, PreconditionError
@@ -94,6 +95,7 @@ class KResult:
     SNF coordinate (0 meaning free), and vertex classes are coordinate
     tuples over those.  k1_basis spans the kernel of the boundary matrix.
     The induced automorphism matrices are filled in by induced_action.
+    u_inv, the inverse of the SNF row transform, is computed on first use.
     """
 
     depth: int
@@ -110,6 +112,10 @@ class KResult:
     @property
     def k1_rank(self) -> int:
         return self.k1_basis.cols
+
+    @cached_property
+    def u_inv(self) -> IntMatrix:
+        return inv_unimodular(self._u)
 
     def reduce_class(self, vec) -> tuple[int, ...]:
         return tuple(x % d if d else x for x, d in zip(vec, self.coord_orders))
@@ -155,16 +161,6 @@ def compute_k(g: GadgetGraph, depth: int) -> KResult:
     return kr
 
 
-def _permutation_matrix(names, image) -> IntMatrix:
-    pos = {v: i for i, v in enumerate(names)}
-    cols = []
-    for v in names:
-        col = [0] * len(names)
-        col[pos[image(v)]] = 1
-        cols.append(col)
-    return IntMatrix.from_cols(cols, rows=len(names))
-
-
 def induced_action(g: GadgetGraph, kr: KResult) -> KResult:
     """Fill in the automorphism's exact action on K0 and K1.
 
@@ -177,12 +173,14 @@ def induced_action(g: GadgetGraph, kr: KResult) -> KResult:
     for c in bnd.col_index:
         if g.sigma_window(c) not in bnd.col_index:
             raise InternalInvariantError(f"column {c!r} maps outside the column set")
-    p_row = _permutation_matrix(bnd.row_index, g.sigma_window)
-    p_col = _permutation_matrix(bnd.col_index, g.sigma_window)
+    p_row, p_col = (
+        IntMatrix.unit_columns(len(names), [names.index(g.sigma_window(v)) for v in names])
+        for names in (bnd.row_index, bnd.col_index)
+    )
     if p_row @ bnd.matrix != bnd.matrix @ p_col:
         raise InternalInvariantError("vertex permutation does not permute relations")
 
-    atilde = kr._u @ p_row @ inv_unimodular(kr._u)
+    atilde = kr._u @ p_row @ kr.u_inv
     n = bnd.matrix.rows
     rank = n - kr.invariants.free_rank
     diag = {i: d for i, d in zip(kr._jrows, kr.coord_orders)}
@@ -217,27 +215,10 @@ def core_class_relations(kr: KResult) -> Lattice:
     makes windows of different depths comparable even though their SNF
     coordinates differ.
     """
-    core = [v for v in kr.boundary.row_index if "[" not in v]
-    idx = {v: i for i, v in enumerate(kr.boundary.row_index)}
-    cols = []
-    for v in core:
-        col = [0] * kr._u.rows
-        col[idx[v]] = 1
-        cols.append(col)
-    q = (kr._u @ IntMatrix.from_cols(cols, rows=kr._u.rows)).submatrix(
-        kr._jrows, range(len(core))
-    )
-    torsion_cols = []
-    for i, d in enumerate(kr.coord_orders):
-        if d:
-            col = [0] * len(kr.coord_orders)
-            col[i] = d
-            torsion_cols.append(col)
-    if torsion_cols:
-        q = IntMatrix.hstack(q, IntMatrix.from_cols(torsion_cols, rows=len(kr.coord_orders)))
-    combined = kernel_basis(q)
-    head = combined.basis.submatrix(range(len(core)), range(combined.basis.cols))
-    return Lattice(len(core), head)
+    core = [i for i, v in enumerate(kr.boundary.row_index) if "[" not in v]
+    # the K0 coordinates of the core classes, and the relations among K0 coordinates
+    classes = kr._u.submatrix(kr._jrows, core)
+    return Lattice(len(kr.coord_orders), IntMatrix.diag(kr.coord_orders)).preimage(classes)
 
 
 @dataclass(frozen=True)
@@ -284,6 +265,7 @@ class PropertyCheck:
 @dataclass(frozen=True)
 class GroupVerification:
     checks: tuple[PropertyCheck, ...]
+    kresult: KResult
 
     @property
     def passed(self) -> bool:
@@ -294,15 +276,6 @@ class GroupVerification:
             if c.name == name:
                 return c
         raise PreconditionError(f"no check named {name!r}")
-
-
-def _alpha_order(spec: GroupGraphSpec) -> int:
-    ident = IntMatrix.identity(spec.group_rank)
-    for k in range(1, spec.p + 1):
-        powk = spec.group_aut.pow(k) - ident
-        if all(spec.group_rel.member(powk.col(j)) or not any(powk.col(j)) for j in range(spec.group_rank)):
-            return k
-    raise InternalInvariantError("action order does not divide p")
 
 
 def _generator_weights(row_index, spec: GroupGraphSpec) -> IntMatrix:
@@ -331,7 +304,7 @@ def verify_group_graph(g: GadgetGraph, spec: GroupGraphSpec, depth: int = 3) -> 
 
     Returns one PropertyCheck per claim; passed means every claim holds.
     """
-    spec.validate()
+    group = spec.validate()
     checks = []
 
     def run(name, fn):
@@ -355,7 +328,8 @@ def verify_group_graph(g: GadgetGraph, spec: GroupGraphSpec, depth: int = 3) -> 
 
     run("unique-infinite-emitter", check_emitter)
 
-    ord_alpha = _alpha_order(spec)
+    # p is prime, so an action of order dividing p is trivial or of order p
+    ord_alpha = 1 if group.is_trivial_action() else spec.p
 
     def check_aut():
         report = validate_automorphism(g)
@@ -376,7 +350,7 @@ def verify_group_graph(g: GadgetGraph, spec: GroupGraphSpec, depth: int = 3) -> 
     run("equivariant-injection", check_injection)
 
     kr = compute_k(g, depth)
-    target = quotient_invariants(spec.group_rank, spec.group_rel)
+    target = group.invariants()
 
     run(
         "k0-invariant-factors",
@@ -385,15 +359,14 @@ def verify_group_graph(g: GadgetGraph, spec: GroupGraphSpec, depth: int = 3) -> 
 
     weights = _generator_weights(kr.boundary.row_index, spec)
     rel = spec.group_rel
+    # the map K0 -> G on the retained SNF coordinates
+    phi = (weights @ kr.u_inv).submatrix(range(spec.group_rank), kr._jrows)
 
     def check_iso():
         mapped = weights @ kr.boundary.matrix
         for j in range(mapped.cols):
             if not rel.member(mapped.col(j)):
                 return False, f"column {kr.boundary.col_index[j]} does not vanish in G"
-        phi = (weights @ inv_unimodular(kr._u)).submatrix(
-            range(spec.group_rank), kr._jrows
-        )
         for a in spec.labels:
             diff = [
                 x - y
@@ -427,9 +400,6 @@ def verify_group_graph(g: GadgetGraph, spec: GroupGraphSpec, depth: int = 3) -> 
 
     def check_induced():
         kri = induced_action(g, kr)
-        phi = (weights @ inv_unimodular(kr._u)).submatrix(
-            range(spec.group_rank), kr._jrows
-        )
         for a in spec.labels:
             lhs = phi.apply(kri.reduce_class(kri.induced_k0.apply(kr.class_of(a))))
             rhs = spec.group_aut.apply(phi.apply(kr.class_of(a)))
@@ -439,4 +409,4 @@ def verify_group_graph(g: GadgetGraph, spec: GroupGraphSpec, depth: int = 3) -> 
 
     run("induced-k0-equals-action", check_induced)
 
-    return GroupVerification(tuple(checks))
+    return GroupVerification(tuple(checks), kr)

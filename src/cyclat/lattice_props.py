@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cyclo_ring import RingElt, norm, twist
+from .cyclo_ring import RingElt, norm
 from .errors import InternalInvariantError, PreconditionError
-from .intlinalg import IntMatrix, Lattice, snf, solve_columns
+from .intlinalg import IntMatrix, Lattice, inv_unimodular, snf, solve_columns
 from .presentation import (
     AugPresentation,
     EquivariantLattice,
@@ -26,29 +26,16 @@ from .presentation import (
 from .zmod import FinMod, Submodule
 
 
-def is_noncyclotomic(eq: EquivariantLattice) -> bool:
-    """Kernel of the norm operator equals the twist image on the lattice."""
-    return eq.is_noncyclotomic()
-
-
-def _eval_at(lam: RingElt, action: IntMatrix) -> IntMatrix:
-    out = IntMatrix.zeros(action.rows, action.cols)
-    power = IntMatrix.identity(action.rows)
-    for c in lam.coeffs:
-        if c:
-            out = out + c * power
-        power = action @ power
-    return out
-
-
 class InclusionPair:
     """An action-closed submodule together with the induced kernel pair.
 
     The small presentation's element basis embeds into the big one, so
-    both kernels live in Z^|M| and can be compared as lattices there.
+    both kernels live in Z^|M| and can be compared as lattices there:
+    embed_index[i] is the big basis index of the i-th small element.  t_m0
+    is the twist image t M_0 of the submodule, in the big ambient.
     """
 
-    __slots__ = ("M", "sub", "pres", "pres0", "N", "N0", "embed_matrix")
+    __slots__ = ("M", "sub", "pres", "pres0", "N", "N0", "embed_index", "embed_matrix", "t_m0")
 
     def __init__(self, M: FinMod, sub: Submodule):
         if sub.parent is not M:
@@ -58,15 +45,13 @@ class InclusionPair:
         self.pres = build_aug(M)
         self.pres0 = build_aug(sub.module)
         m = self.pres.size
-        cols = [
-            tuple(1 if i == self.pres.index(sub.embed(x)) else 0 for i in range(m))
-            for x in self.pres0.elements
-        ]
-        self.embed_matrix = IntMatrix.from_cols(cols, rows=m)
+        self.embed_index = tuple(self.pres.index(sub.embed(x)) for x in self.pres0.elements)
+        self.embed_matrix = IntMatrix.unit_columns(m, self.embed_index)
         self.N = self.pres.N
         self.N0 = Lattice(m, self.embed_matrix @ self.pres0.N.basis)
         if not self.N.contains(self.N0):
             raise InternalInvariantError("small kernel must embed in the big kernel")
+        self.t_m0 = Lattice(M.r, IntMatrix.hstack(M.twist_matrix @ sub.span.basis, M.rel.basis))
 
     @classmethod
     def from_span(cls, M: FinMod, span: Lattice) -> "InclusionPair":
@@ -81,7 +66,7 @@ class InclusionPair:
 
     def split_support(self, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """v = v0 + v1 with v0 supported on submodule elements, v1 on the rest."""
-        inside = {self.pres.index(self.sub.embed(x)) for x in self.pres0.elements}
+        inside = set(self.embed_index)
         v0 = tuple(c if i in inside else 0 for i, c in enumerate(v))
         v1 = tuple(c if i not in inside else 0 for i, c in enumerate(v))
         return v0, v1
@@ -115,11 +100,7 @@ def check_t_intersection(pair: InclusionPair) -> IntersectionReport:
 
 def check_t_condition(pair: InclusionPair) -> bool:
     """(t M) inter M_0 == t M_0, decided inside the big module."""
-    M = pair.M
-    t_m = M.t_image()
-    span = pair.sub.span
-    t_m0 = Lattice(M.r, IntMatrix.hstack(M.twist_matrix @ span.basis, M.rel.basis))
-    return t_m.intersect(span) == t_m0
+    return pair.M.t_image().intersect(pair.sub.span) == pair.t_m0
 
 
 @dataclass(frozen=True)
@@ -133,7 +114,7 @@ class PurityVerdict:
 
 
 def _verify_pure(pair: InclusionPair, xi, lam, eta) -> PurityVerdict:
-    lam_mat = _eval_at(lam, pair.pres.action)
+    lam_mat = lam.on(pair.pres.action)
     if not pair.N0.member(eta):
         raise InternalInvariantError("purity witness escapes the small kernel")
     if lam_mat.apply(eta) != lam_mat.apply(xi):
@@ -142,7 +123,7 @@ def _verify_pure(pair: InclusionPair, xi, lam, eta) -> PurityVerdict:
 
 
 def _verify_impure(pair: InclusionPair, xi, lam) -> PurityVerdict:
-    lam_mat = _eval_at(lam, pair.pres.action)
+    lam_mat = lam.on(pair.pres.action)
     lx = lam_mat.apply(xi)
     if not pair.N0.member(lx):
         raise InternalInvariantError("impurity witness must have lam xi in N_0")
@@ -154,10 +135,7 @@ def _verify_impure(pair: InclusionPair, xi, lam) -> PurityVerdict:
 def _solve_in_module(M: FinMod, target, within: Optional[Lattice] = None):
     """Some w with (alpha - 1) w = target in M, w confined to `within` if given."""
     basis = within.basis if within is not None else IntMatrix.identity(M.r)
-    lhs_parts = [M.twist_matrix @ basis]
-    if M.rel.rank:
-        lhs_parts.append(M.rel.basis)
-    lhs = IntMatrix.hstack(*lhs_parts)
+    lhs = IntMatrix.hstack(M.twist_matrix @ basis, M.rel.basis)
     sol = solve_columns(lhs, IntMatrix.from_cols([target], rows=M.r))
     if sol is None:
         return None
@@ -183,7 +161,7 @@ def purity_witness(pair: InclusionPair, xi, lam: RingElt) -> PurityVerdict:
         raise PreconditionError("vector not in the element lattice")
     if not pair.N.member(xi):
         raise PreconditionError("xi must lie in the big kernel")
-    lam_mat = _eval_at(lam, pair.pres.action)
+    lam_mat = lam.on(pair.pres.action)
     lam_xi = lam_mat.apply(xi)
     if not pair.N0.member(lam_xi):
         raise PreconditionError("lam xi must lie in the small kernel")
@@ -211,7 +189,7 @@ def purity_witness(pair: InclusionPair, xi, lam: RingElt) -> PurityVerdict:
     w0 = _solve_in_module(pair.M, pair.M.reduce(pair.M.twist_matrix.apply(w)), pair.sub.span)
     if w0 is not None:
         eta = list(xi0)
-        tw_hat = pair.pres.action.apply(_unit_vec(m, pair.pres.index(w0)))
+        tw_hat = pair.pres.action.col(pair.pres.index(w0))
         for i in range(m):
             eta[i] += tw_hat[i]
         eta[pair.pres.index(w0)] -= 1
@@ -225,10 +203,6 @@ def purity_witness(pair: InclusionPair, xi, lam: RingElt) -> PurityVerdict:
     return _verify_impure(pair, xi, lam)
 
 
-def _unit_vec(n: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
 def find_impurity_witness(pair: InclusionPair) -> Optional[PurityVerdict]:
     """Impurity witness built from an element with t z in M_0 but not in t M_0.
 
@@ -239,11 +213,9 @@ def find_impurity_witness(pair: InclusionPair) -> Optional[PurityVerdict]:
     if check_t_condition(pair):
         return None
     M = pair.M
-    span = pair.sub.span
-    t_m0 = Lattice(M.r, IntMatrix.hstack(M.twist_matrix @ span.basis, M.rel.basis))
     for z in M.enumerate():
         tz = M.reduce(M.twist_matrix.apply(z))
-        if span.member(tz) and not t_m0.member(tz):
+        if pair.sub.span.member(tz) and not pair.t_m0.member(tz):
             m = pair.pres.size
             xi = [0] * m
             xi[pair.pres.index(tz)] += 1
@@ -302,7 +274,7 @@ def find_equivariant_projection(n0: Lattice, eq: EquivariantLattice) -> Optional
     if res.rank != r0 or any(d != 1 for d in res.diag[:r0]):
         return None  # not a pure subgroup, so never a summand
     u = res.u
-    u_inv = _inverse_of(u)
+    u_inv = inv_unimodular(u)
     a_tilde = u @ c @ u_inv
     for i in range(r0, r):
         for j in range(r0):
@@ -321,12 +293,6 @@ def find_equivariant_projection(n0: Lattice, eq: EquivariantLattice) -> Optional
     proj = u_inv @ p_tilde @ u
     _verify_projection(proj, c, s_basis, r)
     return proj
-
-
-def _inverse_of(u: IntMatrix) -> IntMatrix:
-    from .intlinalg import inv_unimodular
-
-    return inv_unimodular(u)
 
 
 def _verify_projection(proj: IntMatrix, c: IntMatrix, s_basis: IntMatrix, r: int) -> None:
@@ -368,23 +334,16 @@ def inclusion_diagram(pair: InclusionPair, k_max: int = 4, seed: int = 0) -> Dia
     column and the small kernel splits off; when it fails that is
     impossible, and the returned witness shows why.
     """
-    if not check_t_condition(pair):
-        return DiagramReport(False, None, find_impurity_witness(pair))
+    impurity = find_impurity_witness(pair)
+    if impurity is not None:
+        return DiagramReport(False, None, impurity)
 
     row0 = stabilize_presentation(pair.sub.module, k_max=k_max, seed=seed)
     row = stabilize_presentation(pair.M, k_max=k_max, seed=seed, k_min=row0.k)
     p = pair.p
     m = pair.pres.size
-    m0 = pair.pres0.size
     big = m + row.k * p
-    small = m0 + row0.k * p
-
-    cols = []
-    for x in pair.pres0.elements:
-        cols.append(_unit_vec(big, pair.pres.index(pair.sub.embed(x))))
-    for j in range(row0.k * p):
-        cols.append(_unit_vec(big, m + j))
-    jmap = IntMatrix.from_cols(cols, rows=big)
+    jmap = IntMatrix.unit_columns(big, pair.embed_index + tuple(range(m, m + row0.k * p)))
 
     act0 = row0.n2.action
     act = row.n2.action

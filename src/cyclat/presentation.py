@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .cyclo_ring import generator, norm
 from .errors import (
     InternalInvariantError,
     NotNoncyclotomic,
@@ -34,21 +35,29 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _shift_matrix(p: int) -> IntMatrix:
-    # regular representation: generator sends basis vector i to i+1 mod p
-    return IntMatrix.from_cols([_unit(p, (i + 1) % p) for i in range(p)], rows=p)
+def _split_orbits(orbits, vec):
+    """Fixed vectors and orbit blocks of vec over element orbits of size 1 and p."""
+    fixed, blocks = [], []
+    for orb in orbits:
+        if len(orb) == 1:
+            fixed.append(vec(orb[0]))
+        else:
+            blocks.append(tuple(vec(x) for x in orb))
+    return fixed, blocks
 
 
-def _preimage_lattice(mat: IntMatrix, lat: Lattice) -> Lattice:
-    """{w : mat w in lat}, as a lattice in Z^(mat.cols)."""
-    if lat.ambient != mat.rows:
-        raise PreconditionError("target lattice lives in the wrong space")
-    if lat.rank == 0:
-        return kernel_basis(mat)
-    stacked = IntMatrix.hstack(mat, -lat.basis)
-    ker = kernel_basis(stacked)
-    cols = ker.basis.submatrix(range(mat.cols), range(ker.rank))
-    return Lattice(mat.cols, cols)
+def _regular_blocks(p: int, k: int, action: IntMatrix, basis: IntMatrix):
+    """A lattice with its action, direct-summed with k regular representations of C_p.
+
+    Takes the action and a basis of the lattice; returns the grown action,
+    the grown lattice and the k unit-vector orbits spanning the new blocks.
+    """
+    old = action.rows
+    total = old + k * p
+    grown = IntMatrix.block_diag(action, *([generator(p).matrix()] * k))
+    span = Lattice(total, IntMatrix.block_diag(basis, IntMatrix.identity(k * p)))
+    orbits = [tuple(_unit(total, old + j * p + i) for i in range(p)) for j in range(k)]
+    return grown, span, orbits
 
 
 class EquivariantLattice:
@@ -97,24 +106,32 @@ class EquivariantLattice:
         Both sides are computed in basis coordinates, so the comparison is
         an exact lattice equality in Z^rank.
         """
+        return self.noncyclotomic_witness() is None
+
+    def noncyclotomic_witness(self) -> Optional[tuple[int, ...]]:
+        """A norm-kernel basis vector outside the twist image, or None.
+
+        Given in lattice coordinates.  The twist image always sits inside
+        the norm kernel, so the two differ exactly when some basis vector
+        of the kernel falls outside.
+        """
         c = self.restricted()
         r = c.rows
-        norm = IntMatrix.identity(r)
-        acc = IntMatrix.identity(r)
-        for _ in range(self.p - 1):
-            acc = c @ acc
-            norm = norm + acc
         twist = Lattice(r, c - IntMatrix.identity(r))
-        return kernel_basis(norm) == twist
+        kernel = kernel_basis(norm(self.p).on(c))
+        if kernel == twist:
+            return None
+        for v in kernel.basis.columns():
+            if not twist.member(v):
+                return v
+        raise InternalInvariantError("norm kernel differs from the twist image without a witness")
 
     def stabilized(self, k: int) -> "EquivariantLattice":
         """Direct sum with k regular-representation blocks."""
         if k == 0:
             return self
-        shift = _shift_matrix(self.p)
-        action = IntMatrix.block_diag(self.action, *([shift] * k))
-        basis = IntMatrix.block_diag(self.lattice.basis, IntMatrix.identity(k * self.p))
-        return EquivariantLattice(self.p, Lattice(action.rows, basis), action)
+        action, lattice, _ = _regular_blocks(self.p, k, self.action, self.lattice.basis)
+        return EquivariantLattice(self.p, lattice, action)
 
 
 class AugPresentation:
@@ -159,9 +176,8 @@ def build_aug(M: FinMod) -> AugPresentation:
     elements = tuple(M.enumerate())
     m = len(elements)
     pi = IntMatrix.from_cols(elements, rows=M.r)
-    perm_cols = [_unit(m, M.index_of(M.act(x))) for x in elements]
-    action = IntMatrix.from_cols(perm_cols, rows=m)
-    n = _preimage_lattice(pi, M.rel)
+    action = IntMatrix.unit_columns(m, [M.index_of(M.act(x)) for x in elements])
+    n = M.rel.preimage(pi)
     if n.rank != m:
         raise InternalInvariantError("presentation kernel must have full rank")
     if n.transform(action) != n:
@@ -233,21 +249,22 @@ def _check_assembly_convention(basis: InvariantBasis, pres: AugPresentation) -> 
     zi = pres.zero_index
     if not basis.fixed_vectors or basis.fixed_vectors[0] != _unit(pres.size, zi):
         raise PreconditionError("first fixed vector must be the zero-hat vector")
-    rest = list(basis.fixed_vectors[1:])
-    for blk in basis.orbit_blocks:
-        rest.extend(blk)
-    if any(v[zi] != 0 for v in rest):
+    if any(v[zi] != 0 for v in basis.vectors()[1:]):
         raise PreconditionError("basis vectors other than zero-hat must avoid it")
 
 
 def cyclic_trivial_basis(n: int, p: int) -> InvariantBasis:
-    """Kernel basis for Z/n with trivial action.
+    """Kernel basis for Z/n with trivial action."""
+    return _trivial_basis(build_aug(build(TrivCyclic(n), p)))
+
+
+def _trivial_basis(pres: AugPresentation) -> InvariantBasis:
+    """Kernel basis of the presentation of Z/n with trivial action.
 
     {0-hat} plus {x-hat - x 1-hat : 2 <= x < n} plus {n 1-hat}; every
     vector is fixed.
     """
-    pres = build_aug(build(TrivCyclic(n), p))
-    m = pres.size
+    n = m = pres.size
     fixed = [_unit(m, pres.index((0,)))]
     one = pres.index((1,)) if n > 1 else None
     for x in range(2, n):
@@ -257,18 +274,23 @@ def cyclic_trivial_basis(n: int, p: int) -> InvariantBasis:
         fixed.append(tuple(v))
     if n > 1:
         fixed.append(tuple(n if i == one else 0 for i in range(m)))
-    return InvariantBasis(p, pres.action, pres.N, [], fixed)
+    return InvariantBasis(pres.M.p, pres.action, pres.N, [], fixed)
 
 
 def cyclic_r_basis(q: int, k: int, p: int) -> InvariantBasis:
-    """Kernel basis for the rank-one quotient R/(q^k).
+    """Kernel basis for the rank-one quotient R/(q^k)."""
+    return _cyclic_r_basis(build_aug(build(CyclicR(q, k), p)))
+
+
+def _cyclic_r_basis(pres: AugPresentation) -> InvariantBasis:
+    """Kernel basis of the presentation of R/(q^k).
 
     One free orbit {q^k e_i-hat} plus, for every element x outside the
     generator orbit, xi_x = x-hat - sum x_i e_i-hat.  The action sends
     xi_x to xi of the shifted element, so the xi split into orbits and
     fixed vectors along the element orbits.
     """
-    pres = build_aug(build(CyclicR(q, k), p))
+    p, shape = pres.M.p, pres.M.shape
     m = pres.size
     gen_idx = [pres.index(_unit(p, i)) for i in range(p)]
     gens = {tuple(_unit(p, i)) for i in range(p)}
@@ -280,16 +302,8 @@ def cyclic_r_basis(q: int, k: int, p: int) -> InvariantBasis:
             v[gen_idx[i]] -= c
         return tuple(v)
 
-    fixed = []
-    blocks = []
-    for orb in pres.M.orbits():
-        if orb[0] in gens:
-            continue
-        if len(orb) == 1:
-            fixed.append(xi(orb[0]))
-        else:
-            blocks.append(tuple(xi(x) for x in orb))
-    qk = q ** k
+    fixed, blocks = _split_orbits((o for o in pres.M.orbits() if o[0] not in gens), xi)
+    qk = shape.q ** shape.k
     blocks.append(tuple(tuple(qk if j == gen_idx[i] else 0 for j in range(m)) for i in range(p)))
     # xi_0 is 0-hat and lands first because enumerate() lists 0 first
     return InvariantBasis(p, pres.action, pres.N, blocks, fixed)
@@ -322,8 +336,6 @@ def free_r_xi_window(p: int, xs: Sequence[Sequence[int]]):
         for i, c in enumerate(x):
             v[i] -= c
         cols.append(tuple(v))
-    if not cols:
-        return window, IntMatrix.zeros(len(window), 0)
     mat = IntMatrix.from_cols(cols, rows=len(window))
     if column_rank(mat) != len(cols):
         raise InternalInvariantError("window vectors must be independent")
@@ -336,7 +348,14 @@ def assemble_direct_sum(
     b1: InvariantBasis,
     b2: InvariantBasis,
 ) -> InvariantBasis:
-    """Kernel basis of a direct sum from kernel bases of the summands.
+    """Kernel basis of a direct sum from kernel bases of the summands."""
+    return _assemble(p1, p2, b1, b2)[1]
+
+
+def _assemble(
+    p1: AugPresentation, p2: AugPresentation, b1: InvariantBasis, b2: InvariantBasis
+) -> tuple[AugPresentation, InvariantBasis]:
+    """The presentation of the direct sum and its kernel basis built from the summands'.
 
     Z 0-hat, the two embedded bases with their zero-hats dropped, and one
     cross vector xi_x = x-hat - x1-hat - x2-hat for each element x with
@@ -360,8 +379,8 @@ def assemble_direct_sum(
     def right(x2):
         return psum.index((0,) * r1 + tuple(x2))
 
-    e1 = IntMatrix.from_cols([_unit(m, left(x)) for x in p1.elements], rows=m)
-    e2 = IntMatrix.from_cols([_unit(m, right(x)) for x in p2.elements], rows=m)
+    e1 = IntMatrix.unit_columns(m, [left(x) for x in p1.elements])
+    e2 = IntMatrix.unit_columns(m, [right(x) for x in p2.elements])
 
     fixed = [_unit(m, psum.zero_index)]
     fixed += [e1.apply(v) for v in b1.fixed_vectors[1:]]
@@ -376,31 +395,26 @@ def assemble_direct_sum(
         v[right(x[r1:])] -= 1
         return tuple(v)
 
-    for orb in msum.orbits():
-        x = orb[0]
-        if all(c == 0 for c in x[:r1]) or all(c == 0 for c in x[r1:]):
-            continue
-        if len(orb) == 1:
-            fixed.append(xi(x))
-        else:
-            blocks.append(tuple(xi(y) for y in orb))
-    return InvariantBasis(psum.M.p, psum.action, psum.N, blocks, fixed)
+    crossing = (o for o in msum.orbits() if any(o[0][:r1]) and any(o[0][r1:]))
+    cross_fixed, cross_blocks = _split_orbits(crossing, xi)
+    fixed += cross_fixed
+    blocks += cross_blocks
+    return psum, InvariantBasis(psum.M.p, psum.action, psum.N, blocks, fixed)
 
 
 def _shape_basis(shape, p: int):
-    """Constructive kernel basis for a finite shape tree."""
+    """Presentation and constructive kernel basis for a finite shape tree."""
     if isinstance(shape, TrivCyclic):
-        return build_aug(build(shape, p)), cyclic_trivial_basis(shape.n, p)
+        pres = build_aug(build(shape, p))
+        return pres, _trivial_basis(pres)
     if isinstance(shape, CyclicR):
-        return build_aug(build(shape, p)), cyclic_r_basis(shape.q, shape.k, p)
+        pres = build_aug(build(shape, p))
+        return pres, _cyclic_r_basis(pres)
     if isinstance(shape, DirectSum):
         pres, basis = _shape_basis(shape.parts[0], p)
-        acc = pres.M
         for part in shape.parts[1:]:
             nxt_pres, nxt_basis = _shape_basis(part, p)
-            basis = assemble_direct_sum(pres, nxt_pres, basis, nxt_basis)
-            acc = direct_sum(acc, nxt_pres.M)
-            pres = build_aug(acc)
+            pres, basis = _assemble(pres, nxt_pres, basis, nxt_basis)
         return pres, basis
     raise PreconditionError("shape has no finite presentation")
 
@@ -553,18 +567,10 @@ class StabilizedPresentation:
 
 def _pad_with_regular_blocks(basis: InvariantBasis, p: int, delta: int) -> InvariantBasis:
     """Extend a split basis of L to one of L plus delta regular blocks."""
-    old = basis.ambient.ambient
-    extra = delta * p
-    action = IntMatrix.block_diag(basis.action, *([_shift_matrix(p)] * delta))
-    ambient = Lattice(
-        old + extra, IntMatrix.block_diag(basis.ambient.basis, IntMatrix.identity(extra))
-    )
-    pad = (0,) * extra
-    blocks = [tuple(v + pad for v in blk) for blk in basis.orbit_blocks]
+    action, ambient, regular = _regular_blocks(p, delta, basis.action, basis.ambient.basis)
+    pad = (0,) * (delta * p)
+    blocks = [tuple(v + pad for v in blk) for blk in basis.orbit_blocks] + regular
     fixed = [v + pad for v in basis.fixed_vectors]
-    for j in range(delta):
-        base = old + j * p
-        blocks.append(tuple(_unit(old + extra, base + i) for i in range(p)))
     return InvariantBasis(p, action, ambient, blocks, fixed)
 
 
@@ -584,27 +590,14 @@ def stabilize_presentation(
         n1 = _pad_with_regular_blocks(n1, M.p, k_min - k)
         k = k_min
     p = M.p
-    m = aug.size
-    total = m + k * p
+    total = aug.size + k * p
 
-    shift = _shift_matrix(p)
-    action = IntMatrix.block_diag(aug.action, *([shift] * k)) if k else aug.action
-    fixed = []
-    blocks = []
-    for orb in M.orbits():
-        if len(orb) == 1:
-            fixed.append(_unit(total, M.index_of(orb[0])))
-        else:
-            blocks.append(tuple(_unit(total, M.index_of(x)) for x in orb))
-    for j in range(k):
-        base = m + j * p
-        blocks.append(tuple(_unit(total, base + i) for i in range(p)))
-    n2 = InvariantBasis(p, action, Lattice.full(total), blocks, fixed)
+    action, ambient, regular = _regular_blocks(p, k, aug.action, IntMatrix.identity(aug.size))
+    fixed, blocks = _split_orbits(M.orbits(), lambda x: _unit(total, M.index_of(x)))
+    n2 = InvariantBasis(p, action, ambient, blocks + regular, fixed)
 
-    pi_ext = (
-        IntMatrix.hstack(aug.pi_matrix, IntMatrix.zeros(M.r, k * p)) if k else aug.pi_matrix
-    )
-    if n1.ambient != _preimage_lattice(pi_ext, M.rel):
+    pi_ext = IntMatrix.hstack(aug.pi_matrix, IntMatrix.zeros(M.r, k * p))
+    if n1.ambient != M.rel.preimage(pi_ext):
         raise InternalInvariantError("stabilized row is not exact")
 
     vec_pos = {v: i for i, v in enumerate(n2.vectors())}

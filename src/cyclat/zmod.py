@@ -18,14 +18,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .cyclo_ring import generator, is_prime
+from .cyclo_ring import generator, is_prime, norm
 from .errors import ParseError, PreconditionError
 from .intlinalg import (
     IntMatrix,
     Lattice,
     QuotientInvariants,
     inv_unimodular,
-    kernel_basis,
     quotient_invariants,
     solve_columns,
 )
@@ -182,7 +181,7 @@ class FinMod:
             raise PreconditionError("relation lattice lives in the wrong space")
         if aut.rows != r or aut.cols != r:
             raise PreconditionError("automorphism matrix has the wrong shape")
-        if rel.rank and not rel.contains(Lattice(r, aut @ rel.basis)):
+        if not all(rel.member(aut.apply(c)) for c in rel.basis.columns()):
             raise PreconditionError("automorphism does not preserve the relations")
         pw = aut.pow(p) - IntMatrix.identity(r)
         if any(not rel.member(pw.col(j)) for j in range(r)):
@@ -278,21 +277,7 @@ class FinMod:
 
     @property
     def norm_matrix(self) -> IntMatrix:
-        out = IntMatrix.identity(self.r)
-        acc = IntMatrix.identity(self.r)
-        for _ in range(self.p - 1):
-            acc = self.aut @ acc
-            out = out + acc
-        return out
-
-    def _preimage(self, op: IntMatrix) -> Lattice:
-        # {v : op v in rel}, as a lattice in the ambient
-        if self.rel.rank == 0:
-            return kernel_basis(op)
-        stacked = IntMatrix.hstack(op, -self.rel.basis)
-        ker = kernel_basis(stacked)
-        cols = ker.basis.submatrix(range(self.r), range(ker.rank))
-        return Lattice(self.r, cols)
+        return norm(self.p).on(self.aut)
 
     def t_image(self) -> Lattice:
         """The subgroup (alpha - 1)M, as a lattice between rel and Z^r."""
@@ -303,11 +288,11 @@ class FinMod:
 
     def fixed_submodule(self) -> Lattice:
         """{m : alpha m = m}, as a lattice between rel and Z^r."""
-        return self._preimage(self.twist_matrix) + self.rel
+        return self.rel.preimage(self.twist_matrix)
 
     def s_kernel(self) -> Lattice:
         """{m : (1 + alpha + ... + alpha^(p-1)) m = 0}."""
-        return self._preimage(self.norm_matrix) + self.rel
+        return self.rel.preimage(self.norm_matrix)
 
     # -- submodules ----------------------------------------------------------
 
@@ -357,12 +342,7 @@ class FinMod:
                 for e in elems:
                     if lat.member(e):
                         continue
-                    bigger = Lattice(
-                        self.r,
-                        IntMatrix.hstack(
-                            lat.basis, self.invariant_span([e]).basis
-                        ),
-                    )
+                    bigger = lat + self.invariant_span([e])
                     if bigger not in found:
                         found.add(bigger)
                         nxt.append(bigger)

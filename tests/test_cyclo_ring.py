@@ -63,6 +63,16 @@ class TestRingBasics:
                 f = RingElt(p, [rng.randint(-9, 9) for _ in range(p)])
                 assert f * norm(p) == f.aug() * norm(p)
 
+    @given(st.sampled_from((2, 3, 5, 7)).flatmap(ring_elts))
+    @settings(max_examples=60, deadline=None)
+    def test_on_the_shift_is_the_regular_representation(self, lam):
+        assert lam.on(generator(lam.p).matrix()) == lam.matrix()
+
+    def test_str_is_the_polynomial_text(self):
+        assert str(elt(3, 1, -1, 2)) == "1 - x + 2*x^2"
+        assert str(const(5, 0)) == "0"
+        assert repr(elt(2, 0, 1)) == "RingElt(2, x)"
+
     @given(ring_elts(), ring_elts())
     @settings(max_examples=60, deadline=None)
     def test_aug_is_a_ring_map(self, a, b):

@@ -1,7 +1,8 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclat.errors import PreconditionError
@@ -337,3 +338,54 @@ class TestQuotientInvariants:
         # Z/2 x Z/2 x Z/4, not the primary decomposition ordering
         sub = Lattice.spanned_by([(2, 0, 0), (0, 2, 0), (0, 0, 4)], ambient=3)
         assert quotient_invariants(3, sub).torsion == (2, 2, 4)
+
+
+@st.composite
+def lattice_and_map(draw):
+    """A lattice L in Z^n (possibly zero) and a map A: Z^k -> Z^n, all small."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    entries = st.integers(-3, 3)
+    gens = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=3))
+    rows = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n))
+    return Lattice.spanned_by(gens, ambient=n), IntMatrix(rows)
+
+
+@st.composite
+def full_rank_lattices(draw, n=3):
+    """A full-rank lattice of Z^n: a nonsingular generator matrix plus extra vectors."""
+    entries = st.integers(-4, 4)
+    cols = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n + 2))
+    lat = Lattice.spanned_by(cols, ambient=n)
+    assume(lat.rank == n)
+    return lat
+
+
+class TestPreimageOracle:
+    """Lattice.preimage and intersect against membership and the lattice laws."""
+
+    @given(lattice_and_map())
+    @settings(max_examples=80, deadline=None)
+    def test_membership_on_a_box(self, case):
+        lat, a = case
+        pre = lat.preimage(a)
+        for w in itertools.product(range(-2, 3), repeat=a.cols):
+            assert pre.member(w) == lat.member(a.apply(w))
+
+    @given(lattice_and_map())
+    @settings(max_examples=80, deadline=None)
+    def test_contains_the_kernel(self, case):
+        lat, a = case
+        assert lat.preimage(a).contains(kernel_basis(a))
+
+    def test_wrong_codomain_rejected(self):
+        with pytest.raises(PreconditionError):
+            Lattice.full(2).preimage(IntMatrix.identity(3))
+
+    @given(full_rank_lattices(), full_rank_lattices())
+    @settings(max_examples=60, deadline=None)
+    def test_second_isomorphism_law(self, l1, l2):
+        # [L1 + L2 : L2] == [L1 : L1 cap L2], and the quotient groups agree
+        total, meet = l1 + l2, l1.intersect(l2)
+        assert l2.index() * l1.index() == total.index() * meet.index()
+        assert quotient_invariants(total, l2) == quotient_invariants(l1, meet)

@@ -7,13 +7,11 @@ from cyclat.errors import PreconditionError
 from cyclat.intlinalg import IntMatrix, Lattice
 from cyclat.lattice_props import (
     InclusionPair,
-    _eval_at,
     check_t_condition,
     check_t_intersection,
     find_equivariant_projection,
     find_impurity_witness,
     inclusion_diagram,
-    is_noncyclotomic,
     purity_witness,
 )
 from cyclat.presentation import EquivariantLattice, build_aug
@@ -41,29 +39,29 @@ def r4_twist_pair():
 class TestNoncyclotomic:
     def test_r_mod_3_kernel(self):
         eq = build_aug(build(CyclicR(3, 1), 2)).kernel_pair()
-        assert is_noncyclotomic(eq)
+        assert eq.is_noncyclotomic()
 
     def test_regular_lattice(self):
         for p in (2, 3):
             shift = build(CyclicR(2, 1), p).aut if p == 2 else None
         eq2 = EquivariantLattice(2, Lattice.full(2), IntMatrix([[0, 1], [1, 0]]))
-        assert is_noncyclotomic(eq2)
+        assert eq2.is_noncyclotomic()
         eq3 = EquivariantLattice(
             3, Lattice.full(3), IntMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
         )
-        assert is_noncyclotomic(eq3)
+        assert eq3.is_noncyclotomic()
 
     def test_twist_image_of_regular_fails(self):
         # rank-one lattice with the action of -1: norm acts as zero
         eq = EquivariantLattice(2, Lattice.full(1), IntMatrix([[-1]]))
-        assert not is_noncyclotomic(eq)
+        assert not eq.is_noncyclotomic()
 
     def test_random_presentation_kernels(self):
         rng = random.Random(17)
         for p in (2, 3):
             for _ in range(6):
                 eq = build_aug(random_module(rng, p, max_order=32)).kernel_pair()
-                assert is_noncyclotomic(eq)
+                assert eq.is_noncyclotomic()
 
 
 class TestTwistIntersection:
@@ -147,7 +145,7 @@ class TestPurity:
                 holds = check_t_condition(pair)
                 for b in pair.N.basis.columns():
                     for lam in lams:
-                        lx = _eval_at(lam, pair.pres.action).apply(b)
+                        lx = lam.on(pair.pres.action).apply(b)
                         if not pair.N0.member(lx):
                             continue
                         v = purity_witness(pair, b, lam)
