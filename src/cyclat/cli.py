@@ -427,6 +427,8 @@ def _load_graph(cfg: WorkbenchConfig, args) -> tuple[GadgetGraph, Optional[Group
         return build_strand_graph(m, cyclic=bool(data.get("cyclic", False))), None
     if kind == "group":
         spec = _group_spec_from_json(data)
+        if args.p is not None and args.p != spec.p:
+            raise ParseError(f"--p {args.p} does not match p = {spec.p} in {args.file}")
         return build_group_graph(spec), spec
     raise ParseError(f"unknown graph kind {kind!r}")
 
@@ -550,7 +552,7 @@ def cmd_graph(cfg: WorkbenchConfig, args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cyclat", description=__doc__ and __doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=2, help="odd or even prime (default 2)")
+    common.add_argument("--p", type=int, help="odd or even prime (default 2)")
     common.add_argument("--depth", type=int, default=3, help="window depth (default 3)")
     common.add_argument("--seed", type=int, default=0, help="search seed (default 0)")
     common.add_argument("--kmax", type=int, default=4, help="stabilization cap (default 4)")
@@ -616,7 +618,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         cfg = WorkbenchConfig(
-            p=args.p, depth=args.depth, seed=args.seed, kmax=args.kmax, fmt=args.fmt
+            p=2 if args.p is None else args.p,
+            depth=args.depth, seed=args.seed, kmax=args.kmax, fmt=args.fmt,
         )
         return _HANDLERS[args.group](cfg, args)
     except ParseError as exc:

@@ -20,6 +20,7 @@ the only vertex allowed to emit infinitely.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence
 
@@ -415,7 +416,11 @@ class GroupGraphSpec:
         return Lattice.spanned_by(self.bvecs, len(self.labels))
 
     def validate(self) -> FinMod:
-        """Check the description and return the group as a module."""
+        """Check the description (once per spec) and return the group as a module."""
+        return self._group
+
+    @cached_property
+    def _group(self) -> FinMod:
         group = FinMod(self.p, self.group_rank, self.group_rel, self.group_aut)
         labels = self.labels
         if not labels or len(set(labels)) != len(labels):

@@ -224,13 +224,13 @@ class IntMatrix:
             raise PreconditionError("pow of a non-square matrix")
         if k < 0:
             raise PreconditionError("negative power")
-        out = IntMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
+        if k == 0:
+            return IntMatrix.identity(self.rows)
+        out = self
+        for bit in bin(k)[3:]:
+            out = out @ out
+            if bit == "1":
+                out = out @ self
         return out
 
     def trace(self) -> int:

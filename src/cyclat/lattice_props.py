@@ -53,16 +53,12 @@ class InclusionPair:
             raise InternalInvariantError("small kernel must embed in the big kernel")
         self.t_m0 = Lattice(M.r, IntMatrix.hstack(M.twist_matrix @ sub.span.basis, M.rel.basis))
 
-    @classmethod
-    def from_span(cls, M: FinMod, span: Lattice) -> "InclusionPair":
-        return cls(M, M.submodule_from_lattice(span))
-
     @property
     def p(self) -> int:
         return self.M.p
 
     def eq(self) -> EquivariantLattice:
-        return EquivariantLattice(self.p, self.N, self.pres.action)
+        return self.pres.kernel_pair()
 
     def split_support(self, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """v = v0 + v1 with v0 supported on submodule elements, v1 on the rest."""

@@ -68,7 +68,7 @@ class EquivariantLattice:
     route instead of searching.
     """
 
-    __slots__ = ("p", "lattice", "action", "provenance")
+    __slots__ = ("p", "lattice", "action", "provenance", "_restricted")
 
     def __init__(self, p: int, lattice: Lattice, action: IntMatrix, provenance=None):
         n = lattice.ambient
@@ -76,12 +76,15 @@ class EquivariantLattice:
             raise PreconditionError("action must be square on the ambient space")
         if action.pow(p) != IntMatrix.identity(n):
             raise PreconditionError("action order must divide p")
-        if lattice.transform(action) != lattice:
+        # with action^p = 1, mapping the lattice into itself maps it onto itself
+        restricted = solve_columns(lattice.basis, action @ lattice.basis)
+        if restricted is None:
             raise PreconditionError("lattice is not action-invariant")
         self.p = p
         self.lattice = lattice
         self.action = action
         self.provenance = provenance
+        self._restricted = restricted
 
     @property
     def rank(self) -> int:
@@ -89,16 +92,7 @@ class EquivariantLattice:
 
     def restricted(self) -> IntMatrix:
         """The action written in the lattice's own basis."""
-        c = solve_columns(self.lattice.basis, self.action @ self.lattice.basis)
-        if c is None:
-            raise InternalInvariantError("validated action failed to restrict")
-        return c
-
-    def twist_sublattice(self) -> Lattice:
-        """(action - 1) applied to the lattice, in ambient coordinates."""
-        n = self.lattice.ambient
-        delta = self.action - IntMatrix.identity(n)
-        return Lattice(n, delta @ self.lattice.basis)
+        return self._restricted
 
     def is_noncyclotomic(self) -> bool:
         """Kernel of the norm operator on the lattice equals the twist image.
@@ -138,18 +132,19 @@ class AugPresentation:
     """The row 0 -> N -> Z^M -> M -> 0 in explicit coordinates.
 
     elements fixes the basis order of Z^M; pi_matrix has the element
-    representatives as columns; action permutes the basis the way the
-    automorphism permutes M.
+    representatives as columns; kernel is N with the action that permutes
+    the basis the way the automorphism permutes M.
     """
 
-    __slots__ = ("M", "elements", "pi_matrix", "N", "action")
+    __slots__ = ("M", "elements", "pi_matrix", "kernel", "N", "action")
 
-    def __init__(self, M: FinMod, elements, pi_matrix, N, action):
+    def __init__(self, M: FinMod, elements, pi_matrix, kernel: EquivariantLattice):
         self.M = M
         self.elements = elements
         self.pi_matrix = pi_matrix
-        self.N = N
-        self.action = action
+        self.kernel = kernel
+        self.N = kernel.lattice
+        self.action = kernel.action
 
     @property
     def size(self) -> int:
@@ -166,7 +161,7 @@ class AugPresentation:
         return self.index((0,) * self.M.r)
 
     def kernel_pair(self) -> EquivariantLattice:
-        return EquivariantLattice(self.M.p, self.N, self.action, provenance=self.M.shape)
+        return self.kernel
 
 
 def build_aug(M: FinMod) -> AugPresentation:
@@ -180,11 +175,13 @@ def build_aug(M: FinMod) -> AugPresentation:
     n = M.rel.preimage(pi)
     if n.rank != m:
         raise InternalInvariantError("presentation kernel must have full rank")
-    if n.transform(action) != n:
-        raise InternalInvariantError("presentation kernel must be action-invariant")
     if not n.member(_unit(m, M.index_of((0,) * M.r))):
         raise InternalInvariantError("zero-hat must lie in the kernel")
-    return AugPresentation(M, elements, pi, n, action)
+    try:
+        kernel = EquivariantLattice(M.p, n, action, provenance=M.shape)
+    except PreconditionError as exc:
+        raise InternalInvariantError(f"presentation kernel rejected: {exc}") from exc
+    return AugPresentation(M, elements, pi, kernel)
 
 
 class InvariantBasis:

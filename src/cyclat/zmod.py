@@ -283,9 +283,6 @@ class FinMod:
         """The subgroup (alpha - 1)M, as a lattice between rel and Z^r."""
         return Lattice(self.r, IntMatrix.hstack(self.twist_matrix, self.rel.basis))
 
-    def s_image(self) -> Lattice:
-        return Lattice(self.r, IntMatrix.hstack(self.norm_matrix, self.rel.basis))
-
     def fixed_submodule(self) -> Lattice:
         """{m : alpha m = m}, as a lattice between rel and Z^r."""
         return self.rel.preimage(self.twist_matrix)

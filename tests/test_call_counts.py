@@ -13,6 +13,7 @@ import pytest
 
 import cyclat
 from cyclat.cli import main
+from cyclat.intlinalg import Lattice
 from cyclat.presentation import EquivariantLattice, build_aug, find_invariant_basis
 from cyclat.zmod import FinMod, build, parse_modspec
 
@@ -87,3 +88,19 @@ def test_inclusion_decides_twist_condition_once(monkeypatch, capsys, action):
     rc = run_cli(capsys, "inclusion", action, "cyclicR(2,2)", "--sub", "t", "--p", "2")
     assert rc == 1
     assert len(calls) == 1
+
+
+def test_graph_verify_validates_group_once(monkeypatch, capsys):
+    # each validation of a group description builds the group as one FinMod
+    calls = count_calls(monkeypatch, FinMod, "__init__")
+    rc = run_cli(capsys, "graph", "verify", "--file", str(DATA / "group_z5.json"), "--p", "2")
+    assert rc == 0
+    assert len(calls) == 1
+
+
+def test_kernel_check_restricts_the_action_once(monkeypatch, capsys):
+    transforms = count_calls(monkeypatch, Lattice, "transform")
+    solves = count_calls(monkeypatch, cyclat.intlinalg, "solve_columns")
+    assert run_cli(capsys, "module", "check-noncyc", "cyclicR(2,2)", "--p", "2") == 0
+    assert len(transforms) == 0
+    assert len(solves) == 1

@@ -1,12 +1,14 @@
 """Command line behavior: exit codes, output formats, golden files."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import cyclat
 from cyclat.cli import main
 from cyclat.graphkit import build_group_graph, to_dot
 
@@ -59,10 +61,14 @@ def test_help_raises_system_exit_zero(capsys):
 
 
 def test_module_entrypoint_runs():
+    # the child process imports the same cyclat package as this one
+    src = str(pathlib.Path(cyclat.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cyclat", "ring-identities", "--p", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "core at 1: -1" in proc.stdout
@@ -322,6 +328,28 @@ def test_graph_verify_group_golden(capsys):
     assert rc == 0
     assert out == golden("verify_z5.txt")
     assert "K0 = Z/5, K1 = 0, map OK" in out
+
+
+def test_graph_group_file_p_mismatch_is_usage_error(capsys):
+    rc, out, err = run_cli(
+        capsys, "graph", "verify", "--file", str(DATA / "group_z5.json"), "--p", "3"
+    )
+    assert rc == 64
+    assert out == ""
+    assert "--p 3" in err and "p = 2" in err
+
+
+def test_graph_group_file_p_omitted_uses_file(capsys):
+    rc, out, _ = run_cli(capsys, "graph", "verify", "--file", str(DATA / "group_z5.json"))
+    assert rc == 0
+    assert out == golden("verify_z5.txt")
+
+
+def test_graph_strand_accepts_any_p(capsys):
+    rc3, out3, _ = run_cli(capsys, "graph", "ktheory", "--strand", "4", "--p", "3")
+    rc7, out7, _ = run_cli(capsys, "graph", "ktheory", "--strand", "4", "--p", "7")
+    assert rc3 == rc7 == 0
+    assert out3 == out7
 
 
 def test_graph_verify_requires_group_file(capsys):

@@ -88,6 +88,28 @@ class TestMatrixBasics:
         assert a.pow(3) == IntMatrix.identity(2)
         assert a.pow(0) == IntMatrix.identity(2)
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            IntMatrix.identity(0),
+            mat([[3]]),
+            mat([[0, 1], [1, 0]]),
+            mat([[1, 2], [-3, 4]]),
+            mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+        ],
+    )
+    def test_pow_matches_repeated_products(self, a):
+        expect = IntMatrix.identity(a.rows)
+        for k in range(10):
+            assert a.pow(k) == expect
+            expect = expect @ a
+
+    def test_pow_rejects_non_square_and_negative(self):
+        with pytest.raises(PreconditionError):
+            mat([[1, 2]]).pow(2)
+        with pytest.raises(PreconditionError):
+            mat([[1]]).pow(-1)
+
 
 class TestXgcd:
     @pytest.mark.parametrize(

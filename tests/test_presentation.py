@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclat.errors import NotNoncyclotomic, PreconditionError
+from cyclat.errors import InternalInvariantError, NotNoncyclotomic, PreconditionError
 from cyclat.intlinalg import IntMatrix, Lattice
 from cyclat.presentation import (
     EquivariantLattice,
@@ -50,6 +50,45 @@ class TestBuildAug:
                 for col in (pres.pi_matrix @ pres.N.basis).columns():
                     assert m.rel.member(col)
                 assert pres.N.transform(pres.action) == pres.N
+
+
+    def test_kernel_rejection_is_internal(self, monkeypatch):
+        def reject(self, *args, **kwargs):
+            raise PreconditionError("lattice is not action-invariant")
+
+        monkeypatch.setattr(EquivariantLattice, "__init__", reject)
+        with pytest.raises(InternalInvariantError):
+            build_aug(build(TrivCyclic(2), 2))
+
+
+SWAP = IntMatrix([[0, 1], [1, 0]])
+
+
+class TestEquivariantLattice:
+    def test_rejects_non_square_action(self):
+        with pytest.raises(PreconditionError):
+            EquivariantLattice(2, Lattice.full(2), IntMatrix([[0, 1]]))
+
+    def test_rejects_action_of_wrong_order(self):
+        with pytest.raises(PreconditionError):
+            EquivariantLattice(3, Lattice.full(2), SWAP)
+
+    def test_rejects_non_invariant_lattice(self):
+        with pytest.raises(PreconditionError):
+            EquivariantLattice(2, Lattice.spanned_by([(1, 0)], 2), SWAP)
+
+    def test_restricted_is_the_action_in_lattice_coordinates(self):
+        rng = random.Random(5)
+        for p in (2, 3, 5):
+            for _ in range(6):
+                eq = build_aug(random_module(rng, p, max_order=32)).kernel_pair()
+                basis = eq.lattice.basis
+                assert basis @ eq.restricted() == eq.action @ basis
+
+    def test_kernel_pair_is_built_once(self):
+        pres = build_aug(build(CyclicR(2, 1), 2))
+        assert pres.kernel_pair() is pres.kernel_pair()
+        assert pres.kernel_pair().provenance == pres.M.shape
 
 
 class TestTrivialBasis:
