@@ -12,8 +12,8 @@ Every command accepts the shared flags --p, --depth, --seed, --kmax and
 byte-identical across runs with the same invocation and seed.
 
 Exit codes: 0 success (and checked property true), 1 checked property
-false, 64 usage or parse error, 65 bad mathematical input, 2 internal
-invariant failure.
+false, 64 usage or parse error, 65 bad mathematical input, 75 randomized
+search exhausted, 2 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .errors import (
     InternalInvariantError,
     ParseError,
     PreconditionError,
+    SearchExhausted,
 )
 from .graphkit import (
     GadgetGraph,
@@ -58,6 +59,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_SEARCH_EXHAUSTED = 75
 EXIT_INTERNAL = 2
 
 
@@ -628,6 +630,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PreconditionError as exc:
         sys.stderr.write(f"cyclat: bad input: {exc}\n")
         return EXIT_DATA
+    except SearchExhausted as exc:
+        sys.stderr.write(
+            f"cyclat: search exhausted after {exc.attempts} attempt(s), k reached {exc.k}: {exc}\n"
+        )
+        return EXIT_SEARCH_EXHAUSTED
     except InternalInvariantError as exc:
         sys.stderr.write(f"cyclat: internal invariant failed: {exc}\n")
         return EXIT_INTERNAL

@@ -2,7 +2,9 @@
 
 The CLI maps these onto exit codes, so raising the right one matters:
 ParseError -> 64 (unusable request), PreconditionError -> 65 (bad input),
-InternalInvariantError -> 2 (a checked identity failed, i.e. a bug).
+SearchExhausted -> 75 (a randomized search ran out of budget; another
+--seed or a larger --kmax may succeed), InternalInvariantError -> 2 (a
+checked identity failed, i.e. a bug).
 """
 
 
@@ -34,5 +36,11 @@ class SearchExhausted(CyclatError):
     """A randomized search hit its budget without finding a certificate.
 
     Deliberately distinct from a negative answer; the object searched for
-    may well exist.
+    may well exist.  `attempts` counts the candidate bases tried and `k` is
+    the largest number of regular blocks the search stabilized by.
     """
+
+    def __init__(self, message: str, attempts: int, k: int):
+        super().__init__(message)
+        self.attempts = attempts
+        self.k = k

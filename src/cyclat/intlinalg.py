@@ -6,6 +6,14 @@ with deterministic pivoting so that repeated runs, and the golden values
 frozen in the tests, agree byte for byte.  Sizes stay small (a few hundred
 rows at the very worst), so the quadratic-ish pivot searches are fine.
 
+Most products in the package involve permutation or unit-column matrices,
+so ``A @ B`` and ``A.apply(v)`` skip zero entries: a product costs in
+proportion to the nonzero entries of A times the nonzero entries of the
+rows of B they meet (Gustavson's row-by-row sparse product), and ``apply``
+in proportion to the nonzero entries of v times the row count.  Results
+computed here are already tuples of ints and are wrapped without the
+coercion and shape checks that caller data goes through.
+
 Conventions that the rest of the package leans on:
 
 * ``hnf`` is a *column* Hermite form ``H = A @ U``: pivot columns first,
@@ -22,6 +30,7 @@ Conventions that the rest of the package leans on:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -53,6 +62,24 @@ class IntMatrix:
         object.__setattr__(self, "rows", m)
         object.__setattr__(self, "cols", n)
 
+    @classmethod
+    def _wrap(cls, rows: Iterable[Sequence[int]], m: int, n: int) -> "IntMatrix":
+        """The m x n matrix on m rows of n ints each, computed in this module.
+
+        Skips the int() coercion and the shape checks that caller data goes
+        through; only the rows are made tuples.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "_ent", tuple(map(tuple, rows)))
+        object.__setattr__(out, "rows", m)
+        object.__setattr__(out, "cols", n)
+        return out
+
+    @classmethod
+    def _from_columns(cls, columns: Sequence[Sequence[int]], m: int) -> "IntMatrix":
+        """The m-row matrix on columns of ints, each of length m."""
+        return cls._wrap(zip(*columns) if columns else ((),) * m, m, len(columns))
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
@@ -60,11 +87,11 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "IntMatrix":
-        return cls(((0,) * n for _ in range(m)), shape=(m, n))
+        return cls._wrap(((0,) * n,) * m, m, n)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls._wrap(((1 if i == j else 0 for j in range(n)) for i in range(n)), n, n)
 
     @classmethod
     def diag(cls, values: Sequence[int]) -> "IntMatrix":
@@ -81,7 +108,7 @@ class IntMatrix:
         out = [[0] * len(targets) for _ in range(rows)]
         for j, i in enumerate(targets):
             out[i][j] = 1
-        return cls(out, shape=(rows, len(targets)))
+        return cls._wrap(out, rows, len(targets))
 
     @classmethod
     def from_cols(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
@@ -101,9 +128,10 @@ class IntMatrix:
         m = mats[0].rows
         if any(a.rows != m for a in mats):
             raise PreconditionError("hstack row mismatch")
-        return cls(
-            (tuple(x for a in mats for x in a._ent[i]) for i in range(m)),
-            shape=(m, sum(a.cols for a in mats)),
+        return cls._wrap(
+            ((x for a in mats for x in a._ent[i]) for i in range(m)),
+            m,
+            sum(a.cols for a in mats),
         )
 
     @classmethod
@@ -113,7 +141,7 @@ class IntMatrix:
         n = mats[0].cols
         if any(a.cols != n for a in mats):
             raise PreconditionError("vstack column mismatch")
-        return cls((row for a in mats for row in a._ent), shape=(sum(a.rows for a in mats), n))
+        return cls._wrap((row for a in mats for row in a._ent), sum(a.rows for a in mats), n)
 
     @classmethod
     def block_diag(cls, *mats: "IntMatrix") -> "IntMatrix":
@@ -126,7 +154,7 @@ class IntMatrix:
                 out[i0 + i][j0 : j0 + a.cols] = a._ent[i]
             i0 += a.rows
             j0 += a.cols
-        return cls(out, shape=(m, n))
+        return cls._wrap(out, m, n)
 
     # -- accessors ------------------------------------------------------------
 
@@ -150,16 +178,13 @@ class IntMatrix:
         return [list(r) for r in self._ent]
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(
-            (tuple(self._ent[i][j] for j in col_idx) for i in row_idx),
-            shape=(len(row_idx), len(col_idx)),
+        ent = self._ent
+        return IntMatrix._wrap(
+            ((ent[i][j] for j in col_idx) for i in row_idx), len(row_idx), len(col_idx)
         )
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            (tuple(self._ent[i][j] for i in range(self.rows)) for j in range(self.cols)),
-            shape=(self.cols, self.rows),
-        )
+        return IntMatrix._from_columns(self._ent, self.cols)
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self._ent)
@@ -171,29 +196,28 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
-            (tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self._ent, other._ent)),
-            shape=(self.rows, self.cols),
+        return IntMatrix._wrap(
+            (map(operator.add, ra, rb) for ra, rb in zip(self._ent, other._ent)),
+            self.rows,
+            self.cols,
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
-            (tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self._ent, other._ent)),
-            shape=(self.rows, self.cols),
+        return IntMatrix._wrap(
+            (map(operator.sub, ra, rb) for ra, rb in zip(self._ent, other._ent)),
+            self.rows,
+            self.cols,
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(
-            (tuple(-a for a in row) for row in self._ent), shape=(self.rows, self.cols)
-        )
+        return IntMatrix._wrap(((-a for a in row) for row in self._ent), self.rows, self.cols)
 
     def __mul__(self, c: int) -> "IntMatrix":
         if not isinstance(c, int):
             return NotImplemented
-        return IntMatrix(
-            (tuple(c * a for a in row) for row in self._ent), shape=(self.rows, self.cols)
-        )
+        c = int(c)  # a plain int, so every product below is one too
+        return IntMatrix._wrap(((c * a for a in row) for row in self._ent), self.rows, self.cols)
 
     __rmul__ = __mul__
 
@@ -204,20 +228,28 @@ class IntMatrix:
             raise PreconditionError(
                 f"shape mismatch: ({self.rows}x{self.cols}) @ ({other.rows}x{other.cols})"
             )
-        bt = other.transpose()._ent
-        return IntMatrix(
-            (
-                tuple(sum(a * b for a, b in zip(row, bcol)) for bcol in bt)
-                for row in self._ent
-            ),
-            shape=(self.rows, other.cols),
-        )
+        n = other.cols
+        # row k of other as its (column, value) pairs with nonzero value
+        sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other._ent]
+        out = []
+        for row in self._ent:
+            acc = [0] * n
+            for a, brow in zip(row, sparse_rows):
+                if a:
+                    for j, b in brow:
+                        acc[j] += a * b
+            out.append(acc)
+        return IntMatrix._wrap(out, self.rows, n)
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product as a plain tuple."""
         if len(v) != self.cols:
             raise PreconditionError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self._ent)
+        out = [0] * self.rows
+        for k, x in enumerate(v):
+            if x:
+                out = [o + x * row[k] for o, row in zip(out, self._ent)]
+        return tuple(out)
 
     def pow(self, k: int) -> "IntMatrix":
         if not self.is_square():
@@ -278,12 +310,11 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _col_addmul(cols: list[list[int]], ucols: list[list[int]], dst: int, src: int, c: int) -> None:
-    cd, cs = cols[dst], cols[src]
-    for i in range(len(cd)):
-        cd[i] += c * cs[i]
-    ud, us = ucols[dst], ucols[src]
-    for i in range(len(ud)):
-        ud[i] += c * us[i]
+    for mat in (cols, ucols):
+        out = mat[dst]
+        for i, x in enumerate(mat[src]):
+            if x:
+                out[i] += c * x
 
 
 def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -329,9 +360,7 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             if q:
                 _col_addmul(cols, ucols, j, piv, -q)
         piv += 1
-    h = IntMatrix.from_cols(cols, rows=m) if n else IntMatrix.zeros(m, 0)
-    u = IntMatrix.from_cols(ucols, rows=n) if n else IntMatrix.zeros(0, 0)
-    return h, u
+    return IntMatrix._from_columns(cols, m), IntMatrix._from_columns(ucols, n)
 
 
 def _pivots(h: IntMatrix) -> tuple[int, ...]:
@@ -475,7 +504,7 @@ def snf(a: IntMatrix) -> SnfResult:
         if all(s[i][j] == 0 for i in range(k, m) for j in range(k, n)):
             break
 
-    res = SnfResult(IntMatrix(u, shape=(m, m)), IntMatrix(s, shape=(m, n)), IntMatrix(v, shape=(n, n)))
+    res = SnfResult(IntMatrix._wrap(u, m, m), IntMatrix._wrap(s, m, n), IntMatrix._wrap(v, n, n))
     if res.u @ a @ res.v != res.s:
         raise InternalInvariantError("snf transform identity failed")
     return res
@@ -614,7 +643,7 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
         if y is None:
             return None
         xcols.append(u.apply(y + pad))
-    x = IntMatrix.from_cols(xcols, rows=a.cols) if xcols else IntMatrix.zeros(a.cols, 0)
+    x = IntMatrix._from_columns(xcols, a.cols)
     if a @ x != b:
         raise InternalInvariantError("solve_columns verification failed")
     return x

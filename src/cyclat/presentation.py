@@ -63,9 +63,10 @@ def _regular_blocks(p: int, k: int, action: IntMatrix, basis: IntMatrix):
 class EquivariantLattice:
     """A sublattice of Z^n kept stable by an ambient action of order p.
 
-    `provenance` optionally records the module shape whose presentation
-    kernel this is; the basis search uses it to take the constructive
-    route instead of searching.
+    `provenance` optionally records the finite module whose presentation
+    kernel this is; the basis search uses its shape to take the
+    constructive route instead of searching, without presenting the module
+    again.
     """
 
     __slots__ = ("p", "lattice", "action", "provenance", "_restricted")
@@ -168,9 +169,8 @@ def build_aug(M: FinMod) -> AugPresentation:
     """Present a finite module by the free abelian group on its elements."""
     if not M.is_finite():
         raise PreconditionError("only finite modules have a finite element basis")
-    elements = tuple(M.enumerate())
+    elements, pi = _element_basis(M)
     m = len(elements)
-    pi = IntMatrix.from_cols(elements, rows=M.r)
     action = IntMatrix.unit_columns(m, [M.index_of(M.act(x)) for x in elements])
     n = M.rel.preimage(pi)
     if n.rank != m:
@@ -178,10 +178,27 @@ def build_aug(M: FinMod) -> AugPresentation:
     if not n.member(_unit(m, M.index_of((0,) * M.r))):
         raise InternalInvariantError("zero-hat must lie in the kernel")
     try:
-        kernel = EquivariantLattice(M.p, n, action, provenance=M.shape)
+        kernel = EquivariantLattice(M.p, n, action, provenance=M)
     except PreconditionError as exc:
         raise InternalInvariantError(f"presentation kernel rejected: {exc}") from exc
     return AugPresentation(M, elements, pi, kernel)
+
+
+def _element_basis(M: FinMod) -> tuple[tuple[tuple[int, ...], ...], IntMatrix]:
+    """The elements of M in basis order and the matrix with them as columns."""
+    elements = tuple(M.enumerate())
+    return elements, IntMatrix.from_cols(elements, rows=M.r)
+
+
+def _present(M: FinMod, given: Optional[AugPresentation]) -> AugPresentation:
+    """build_aug(M), or `given` when it already presents the very same module.
+
+    Equal p, relations and automorphism matrix give the same element order,
+    action and kernel, so the presentation can be taken as it is.
+    """
+    if given is not None and (given.M.p, given.M.rel, given.M.aut) == (M.p, M.rel, M.aut):
+        return given
+    return build_aug(M)
 
 
 class InvariantBasis:
@@ -350,10 +367,15 @@ def assemble_direct_sum(
 
 
 def _assemble(
-    p1: AugPresentation, p2: AugPresentation, b1: InvariantBasis, b2: InvariantBasis
+    p1: AugPresentation,
+    p2: AugPresentation,
+    b1: InvariantBasis,
+    b2: InvariantBasis,
+    whole: Optional[AugPresentation] = None,
 ) -> tuple[AugPresentation, InvariantBasis]:
     """The presentation of the direct sum and its kernel basis built from the summands'.
 
+    `whole` is a presentation that may already be the sum's; see _present.
     Z 0-hat, the two embedded bases with their zero-hats dropped, and one
     cross vector xi_x = x-hat - x1-hat - x2-hat for each element x with
     both components nonzero.
@@ -366,7 +388,7 @@ def _assemble(
     _check_assembly_convention(b2, p2)
 
     msum = direct_sum(p1.M, p2.M)
-    psum = build_aug(msum)
+    psum = _present(msum, whole)
     m = psum.size
     r1 = p1.M.r
 
@@ -399,26 +421,34 @@ def _assemble(
     return psum, InvariantBasis(psum.M.p, psum.action, psum.N, blocks, fixed)
 
 
-def _shape_basis(shape, p: int):
-    """Presentation and constructive kernel basis for a finite shape tree."""
+def _shape_basis(shape, p: int, whole: Optional[AugPresentation] = None):
+    """Presentation and constructive kernel basis for a finite shape tree.
+
+    `whole` may present the module of the whole tree; it is used in place
+    of presenting that module again (see _present).
+    """
     if isinstance(shape, TrivCyclic):
-        pres = build_aug(build(shape, p))
+        pres = _present(build(shape, p), whole)
         return pres, _trivial_basis(pres)
     if isinstance(shape, CyclicR):
-        pres = build_aug(build(shape, p))
+        pres = _present(build(shape, p), whole)
         return pres, _cyclic_r_basis(pres)
     if isinstance(shape, DirectSum):
         pres, basis = _shape_basis(shape.parts[0], p)
-        for part in shape.parts[1:]:
+        for i, part in enumerate(shape.parts[1:], 2):
             nxt_pres, nxt_basis = _shape_basis(part, p)
-            pres, basis = _assemble(pres, nxt_pres, basis, nxt_basis)
+            last = whole if i == len(shape.parts) else None
+            pres, basis = _assemble(pres, nxt_pres, basis, nxt_basis, last)
         return pres, basis
     raise PreconditionError("shape has no finite presentation")
 
 
 def _constructive_basis(eq: EquivariantLattice) -> Optional[InvariantBasis]:
+    M = eq.provenance
+    if M.shape is None:
+        return None
     try:
-        pres, basis = _shape_basis(eq.provenance, eq.p)
+        pres, basis = _shape_basis(M.shape, eq.p, AugPresentation(M, *_element_basis(M), eq))
     except PreconditionError:
         return None
     if pres.N == eq.lattice and pres.action == eq.action:
@@ -492,14 +522,17 @@ def _complete_with_fixed(c: IntMatrix, blocks, fix: Lattice):
     return [lifted.col(j) for j in range(need)]
 
 
-def _greedy_basis(eq: EquivariantLattice, rng: random.Random) -> Optional[InvariantBasis]:
+def _greedy_basis(
+    eq: EquivariantLattice, rng: random.Random
+) -> tuple[Optional[InvariantBasis], int]:
+    """A split basis found by greedy orbit extraction, or None; and the attempts made."""
     c = eq.restricted()
     r = c.rows
     fix = kernel_basis(c - IntMatrix.identity(r))
     orbit_count, rem = divmod(r - fix.rank, eq.p - 1)
     if rem:
-        return None
-    for _ in range(GREEDY_ATTEMPTS):
+        return None, 0
+    for attempt in range(1, GREEDY_ATTEMPTS + 1):
         blocks = _extract_orbits(c, eq.p, orbit_count, rng)
         if blocks is None:
             continue
@@ -509,8 +542,8 @@ def _greedy_basis(eq: EquivariantLattice, rng: random.Random) -> Optional[Invari
         bas = eq.lattice.basis
         amb_blocks = [tuple(bas.apply(v) for v in blk) for blk in blocks]
         amb_fixed = [bas.apply(v) for v in fixed]
-        return InvariantBasis(eq.p, eq.action, eq.lattice, amb_blocks, amb_fixed)
-    return None
+        return InvariantBasis(eq.p, eq.action, eq.lattice, amb_blocks, amb_fixed), attempt
+    return None, GREEDY_ATTEMPTS
 
 
 def find_invariant_basis(
@@ -536,12 +569,16 @@ def find_invariant_basis(
             return 0, basis
     rng = random.Random(seed)
     top = k_max if allow_stabilization else 0
+    attempts = 0
     for k in range(top + 1):
-        found = _greedy_basis(eq.stabilized(k), rng)
+        found, tried = _greedy_basis(eq.stabilized(k), rng)
+        attempts += tried
         if found is not None:
             return k, found
     raise SearchExhausted(
-        f"no invariant basis found for rank {eq.rank} after stabilizing up to k={top}"
+        f"no invariant basis found for rank {eq.rank} after stabilizing up to k={top}",
+        attempts=attempts,
+        k=top,
     )
 
 

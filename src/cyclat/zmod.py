@@ -29,6 +29,11 @@ from .intlinalg import (
     solve_columns,
 )
 
+# Largest module order FinMod.enumerate lists.  Far above every module the
+# tests and the acceptance gate use (at most a few hundred elements); a
+# bigger order would only exhaust memory or time.
+MAX_ENUMERATION = 1 << 16
+
 # -- shape expressions -------------------------------------------------------
 
 
@@ -235,6 +240,11 @@ class FinMod:
         if not self.is_finite():
             raise PreconditionError("cannot enumerate an infinite module")
         if self._elems is None:
+            if self.order() > MAX_ENUMERATION:
+                raise PreconditionError(
+                    f"module of order {self.order()} is too large to list its elements"
+                    f" (bound {MAX_ENUMERATION})"
+                )
             diag = [self.rel.basis[i, k] for k, i in enumerate(self.rel.pivot_rows)]
             elems = [tuple(v) for v in product(*(range(d) for d in diag))]
             object.__setattr__(self, "_elems", elems)

@@ -73,13 +73,21 @@ def test_module_build_lists_orbits_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_constructive_basis_presents_each_shape_once(monkeypatch):
-    eq = build_aug(build(parse_modspec("cyclicR(2,1)+triv(2)"), 2)).kernel_pair()
+def test_constructive_basis_presents_each_shape_once(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, cyclat.presentation, "build_aug")
+    rc = run_cli(capsys, "module", "invariant-basis", "cyclicR(2,1)+triv(2)", "--p", "5")
+    assert rc == 0
+    # the whole sum, presented once for the command and reused by the
+    # constructive route, and the two leaves
+    assert len(calls) == 3
+
+
+def test_constructive_basis_reuses_a_leaf_presentation(monkeypatch):
+    eq = build_aug(build(parse_modspec("cyclicR(2,1)"), 2)).kernel_pair()
     calls = count_calls(monkeypatch, cyclat.presentation, "build_aug")
     k, _ = find_invariant_basis(eq)
     assert k == 0
-    # the two leaves and their sum
-    assert len(calls) == 3
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("action", ["check", "witness", "diagram"])

@@ -131,6 +131,30 @@ def test_module_present_infinite_refused(capsys):
     assert rc == 65
 
 
+def test_module_too_large_to_list_is_refused_before_listing(monkeypatch, capsys):
+    def no_listing(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(cyclat.zmod, "product", no_listing)
+    rc, out, err = run_cli(capsys, "module", "build", "cyclicR(2,20)", "--p", "5")
+    assert rc == 65
+    assert out == ""
+    assert f"order {2 ** 100}" in err
+    assert f"bound {cyclat.zmod.MAX_ENUMERATION}" in err
+
+
+def test_exhausted_search_has_its_own_exit_code(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise cyclat.SearchExhausted("no invariant basis found", attempts=30, k=4)
+
+    monkeypatch.setattr(cyclat.cli, "find_invariant_basis", exhausted)
+    rc, out, err = run_cli(capsys, "module", "invariant-basis", "cyclicR(2,1)", "--p", "2")
+    assert rc == 75
+    assert out == ""
+    assert "search exhausted after 30 attempt(s), k reached 4" in err
+    assert "unexpected error" not in err
+
+
 def test_module_invariant_basis_text(capsys):
     rc, out, _ = run_cli(capsys, "module", "invariant-basis", "cyclicR(2,1)", "--p", "2")
     assert rc == 0

@@ -111,6 +111,108 @@ class TestMatrixBasics:
             mat([[1]]).pow(-1)
 
 
+BIG = 2**70
+
+
+def textbook_product(a, b, n):
+    """Rows of a @ b by the triple loop, for a with len(b) columns and b with n columns."""
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(n)] for row in a]
+
+
+@st.composite
+def entry_rows(draw, m, n, kind):
+    """m rows of n ints: dense, mostly zero, a permutation or unit columns."""
+    if kind == "permutation" and m == n:
+        perm = draw(st.permutations(range(n)))
+        return [[1 if perm[j] == i else 0 for j in range(n)] for i in range(m)]
+    if kind in ("permutation", "unit columns"):
+        if m == 0:
+            return [] if n == 0 else draw(entry_rows(m, n, "dense"))
+        targets = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        return [[1 if targets[j] == i else 0 for j in range(n)] for i in range(m)]
+    entry = st.integers(-BIG, BIG)
+    if kind == "mostly zero":
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), st.just(0), entry)
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+
+
+KINDS = st.sampled_from(["dense", "mostly zero", "permutation", "unit columns"])
+
+
+@st.composite
+def product_operands(draw):
+    m, k, n = (draw(st.integers(0, 6)) for _ in range(3))
+    a = draw(entry_rows(m, k, draw(KINDS)))
+    b = draw(entry_rows(k, n, draw(KINDS)))
+    return (m, k, n), a, b
+
+
+def assert_public_form(x):
+    """x is exactly what the public constructor makes of its own entries."""
+    y = IntMatrix(x.entries(), shape=(x.rows, x.cols))
+    assert x == y and hash(x) == hash(y)
+    assert len(x.entries()) == x.rows
+    assert all(type(row) is tuple and len(row) == x.cols for row in x.entries())
+    assert all(type(v) is int for row in x.entries() for v in row)
+
+
+class TestSparseProducts:
+    """The sparse-aware product and apply against the textbook triple loop."""
+
+    @given(product_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_matmul_matches_triple_loop(self, operands):
+        (m, k, n), a, b = operands
+        got = IntMatrix(a, shape=(m, k)) @ IntMatrix(b, shape=(k, n))
+        assert (got.rows, got.cols) == (m, n)
+        assert got.tolist() == textbook_product(a, b, n)
+        assert_public_form(got)
+
+    @given(product_operands())
+    @settings(max_examples=200, deadline=None)
+    def test_apply_matches_triple_loop(self, operands):
+        (m, k, n), a, b = operands
+        mat_a = IntMatrix(a, shape=(m, k))
+        for j in range(n):
+            v = tuple(row[j] for row in b)
+            assert mat_a.apply(v) == tuple(r[0] for r in textbook_product(a, [[x] for x in v], 1))
+
+    @given(product_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_internal_results_are_public_matrices(self, operands):
+        (m, k, n), a, b = operands
+        x, y = IntMatrix(a, shape=(m, k)), IntMatrix(b, shape=(k, n))
+        square = IntMatrix(a[:k] if m >= k else a + [[0] * k] * (k - m), shape=(k, k))
+        results = [
+            x @ y, x + x, x - x, -x, 3 * x, x.transpose(), y.transpose(),
+            x.submatrix(range(m - 1, -1, -1), range(k)), x.submatrix([], range(k)),
+            IntMatrix.hstack(x, x), IntMatrix.vstack(y, y), IntMatrix.block_diag(x, y),
+            IntMatrix.zeros(m, k), IntMatrix.identity(k), square.pow(2),
+            IntMatrix.unit_columns(k, [i % k for i in range(n)]) if k else IntMatrix.zeros(0, 0),
+        ]
+        small = IntMatrix([[v % 7 - 3 for v in row] for row in a], shape=(m, k))
+        results += list(hnf(small))
+        res = snf(small)
+        results += [res.u, res.s, res.v]
+        sol = solve_columns(small, small)
+        results.append(sol)
+        for r in results:
+            assert_public_form(r)
+
+    def test_permutation_products(self):
+        p = IntMatrix.unit_columns(4, [2, 0, 3, 1])
+        b = IntMatrix([[BIG, 0], [0, -1], [5, 0], [0, 0]])
+        assert p @ b == IntMatrix(textbook_product(p.tolist(), b.tolist(), 2))
+        assert p.transpose() @ p == IntMatrix.identity(4)
+        assert p.apply((0, 0, BIG, 0)) == (0, 0, 0, BIG)  # column 2 is e_3
+
+    @pytest.mark.parametrize("m,k,n", [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0)])
+    def test_empty_shapes(self, m, k, n):
+        got = IntMatrix.zeros(m, k) @ IntMatrix.zeros(k, n)
+        assert got == IntMatrix.zeros(m, n)
+        assert IntMatrix.zeros(m, k).apply((0,) * k) == (0,) * m
+
+
 class TestXgcd:
     @pytest.mark.parametrize(
         "a,b",

@@ -4,9 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclat.errors import InternalInvariantError, NotNoncyclotomic, PreconditionError
+import cyclat.presentation
+from cyclat.errors import (
+    InternalInvariantError,
+    NotNoncyclotomic,
+    PreconditionError,
+    SearchExhausted,
+)
 from cyclat.intlinalg import IntMatrix, Lattice
 from cyclat.presentation import (
+    GREEDY_ATTEMPTS,
     EquivariantLattice,
     assemble_direct_sum,
     build_aug,
@@ -88,7 +95,7 @@ class TestEquivariantLattice:
     def test_kernel_pair_is_built_once(self):
         pres = build_aug(build(CyclicR(2, 1), 2))
         assert pres.kernel_pair() is pres.kernel_pair()
-        assert pres.kernel_pair().provenance == pres.M.shape
+        assert pres.kernel_pair().provenance is pres.M
 
 
 class TestTrivialBasis:
@@ -240,6 +247,22 @@ class TestFindInvariantBasis:
         eq = EquivariantLattice(2, Lattice.full(1), IntMatrix([[-1]]))
         with pytest.raises(NotNoncyclotomic):
             find_invariant_basis(eq)
+
+    def test_exhausted_search_reports_attempts_and_k(self, monkeypatch):
+        monkeypatch.setattr(cyclat.presentation, "_extract_orbits", lambda *args: None)
+        eq = EquivariantLattice(2, Lattice.full(2), SWAP)
+        with pytest.raises(SearchExhausted) as exc:
+            find_invariant_basis(eq, allow_stabilization=True, k_max=2)
+        assert exc.value.attempts == 3 * GREEDY_ATTEMPTS
+        assert exc.value.k == 2
+
+    def test_wrong_shape_tag_falls_back_to_search(self):
+        # Z/3 tagged as triv(2): the constructive route must not be taken
+        m = FinMod(2, 1, Lattice.spanned_by([(3,)], 1), IntMatrix.identity(1), TrivCyclic(2))
+        eq = build_aug(m).kernel_pair()
+        k, b = find_invariant_basis(eq)
+        assert k == 0
+        assert b.ambient == eq.lattice and b.rank == 3
 
     def test_random_kernels_split(self):
         rng = random.Random(23)

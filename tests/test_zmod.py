@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import cyclat.zmod
 from cyclat.errors import ParseError, PreconditionError
 from cyclat.intlinalg import IntMatrix, Lattice, quotient_invariants
 from cyclat.zmod import (
@@ -129,6 +130,15 @@ class TestElements:
         m = build(CyclicR(2, 1), 2)
         assert m.index_of((0, 0)) == 0
         assert m.index_of((3, 2)) == m.index_of((1, 0))
+
+    def test_enumeration_bound(self, monkeypatch):
+        monkeypatch.setattr(cyclat.zmod, "MAX_ENUMERATION", 8)
+        assert len(build(TrivCyclic(8), 2).enumerate()) == 8
+        m = build(CyclicR(3, 1), 2)
+        with pytest.raises(PreconditionError, match=r"order 9 .*bound 8"):
+            m.enumerate()
+        with pytest.raises(PreconditionError, match="bound 8"):
+            m.index_of((0, 0))
 
 
 class TestOrbits:
