@@ -41,11 +41,18 @@ from .graphkit import (
     build_group_graph,
     build_strand_graph,
     is_irreducible,
+    strand_window_size,
     to_dot,
     validate_automorphism,
 )
 from .intlinalg import IntMatrix, Lattice, QuotientInvariants
-from .ktheory import compute_k, induced_action, stabilization_check, verify_group_graph
+from .ktheory import (
+    check_window,
+    compute_k,
+    induced_action,
+    stabilization_check,
+    verify_group_graph,
+)
 from .lattice_props import (
     InclusionPair,
     check_t_intersection,
@@ -404,10 +411,26 @@ def _group_spec_from_json(data: dict) -> GroupGraphSpec:
     )
 
 
-def _load_graph(cfg: WorkbenchConfig, args) -> tuple[GadgetGraph, Optional[GroupGraphSpec]]:
+def _stability_depths(cfg: WorkbenchConfig) -> tuple[int, ...]:
+    return tuple(range(2, max(cfg.depth, 3) + 1))
+
+
+def _largest_depth(cfg: WorkbenchConfig, action: str) -> int:
+    """Depth of the largest window a graph action builds."""
+    if action == "build":
+        return 2  # is_irreducible's window
+    if action == "stability":
+        return _stability_depths(cfg)[-1]
+    return cfg.depth
+
+
+def _load_graph(args, depth: int) -> tuple[GadgetGraph, Optional[GroupGraphSpec]]:
+    """The graph of --strand or --file; refuses one whose depth window exceeds
+    ktheory.MAX_WINDOW, a strand graph before it is built."""
     if args.strand is not None and args.file is not None:
         raise ParseError("give either --strand or --file, not both")
     if args.strand is not None:
+        check_window(strand_window_size(args.strand, depth), depth)
         return build_strand_graph(args.strand, cyclic=args.cyclic), None
     if args.file is None:
         raise ParseError("graph commands need --strand M or --file PATH")
@@ -426,12 +449,15 @@ def _load_graph(cfg: WorkbenchConfig, args) -> tuple[GadgetGraph, Optional[Group
             m = int(data["m"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad strand description: {exc!r}")
+        check_window(strand_window_size(m, depth), depth)
         return build_strand_graph(m, cyclic=bool(data.get("cyclic", False))), None
     if kind == "group":
         spec = _group_spec_from_json(data)
         if args.p is not None and args.p != spec.p:
             raise ParseError(f"--p {args.p} does not match p = {spec.p} in {args.file}")
-        return build_group_graph(spec), spec
+        graph = build_group_graph(spec)
+        check_window(graph.window_size(depth), depth)
+        return graph, spec
     raise ParseError(f"unknown graph kind {kind!r}")
 
 
@@ -441,7 +467,7 @@ def _describe_k(kr) -> str:
 
 
 def cmd_graph(cfg: WorkbenchConfig, args) -> int:
-    graph, spec = _load_graph(cfg, args)
+    graph, spec = _load_graph(args, _largest_depth(cfg, args.action))
     rep = Report(f"graph-{args.action}")
 
     if args.action == "build":
@@ -521,8 +547,7 @@ def cmd_graph(cfg: WorkbenchConfig, args) -> int:
         return EXIT_OK if result.passed else EXIT_FALSE
 
     if args.action == "stability":
-        depths = tuple(range(2, max(cfg.depth, 3) + 1))
-        tr = stabilization_check(graph, depths)
+        tr = stabilization_check(graph, _stability_depths(cfg))
         rep.say(f"depths: {', '.join(str(d) for d in tr.depths)}")
         for d, inv, k1 in zip(tr.depths, tr.invariants, tr.k1_ranks):
             rep.say(f"depth {d}: K0 {inv.describe()}, K1 rank {k1}")

@@ -163,6 +163,12 @@ class GadgetGraph:
             out.extend(f.vertex(j) for j in range(1, depth + 1))
         return tuple(out)
 
+    def window_size(self, depth: int) -> int:
+        """len(window_vertices(depth)), computed without listing them."""
+        if depth < 1:
+            raise PreconditionError("window depth must be >= 1")
+        return len(self.vertices) + len(self.rays) * depth
+
     def core_targets(self, v: str) -> list[tuple[str, int]]:
         """Finite out-edges of a core vertex, ray heads included."""
         if v == self.emitter:
@@ -346,6 +352,12 @@ def build_strand_graph(m: int, cyclic: bool = False) -> GadgetGraph:
         aut_vertices=(("v", "v"),),
         aut_rays=tuple(ray_map),
     )
+
+
+def strand_window_size(m: int, depth: int) -> int:
+    """window_size(depth) of build_strand_graph(m), known before building it:
+    one core vertex and m rays."""
+    return 1 + m * depth
 
 
 def delete_strand(g: GadgetGraph, idx: int) -> GadgetGraph:

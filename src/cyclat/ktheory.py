@@ -10,9 +10,15 @@ this closure is trusted blindly; stabilization_check recomputes everything
 at several depths and demands agreement.
 
 K0 is the cokernel of the boundary matrix, presented through Smith normal
-form; K1 is its kernel.  The graph automorphism permutes window vertices
-and relation columns compatibly, which induces exact integer actions on
-both groups.
+form; K1 is its kernel, read off the same Smith form: the columns of the
+column transform V past the rank span it, and their canonical basis is
+checked to be annihilated by the boundary matrix.  The graph automorphism
+permutes window vertices and relation columns compatibly, which induces
+exact integer actions on both groups.
+
+A depth-L window of a graph with c core vertices and r rays has c + r*L
+vertices (see GadgetGraph.window_size); the CLI refuses a window larger
+than MAX_WINDOW before building it.
 """
 
 from __future__ import annotations
@@ -28,11 +34,25 @@ from .intlinalg import (
     Lattice,
     QuotientInvariants,
     inv_unimodular,
-    kernel_basis,
     quotient_invariants,
     snf,
     solve_columns,
 )
+
+# Largest window, in vertices, a graph command builds.  A strand-M window of
+# depth L has 1 + M*L vertices, so strand 16 at depth 12 has 193.  A
+# 2,048-vertex window already makes a boundary matrix of about four million
+# entries, and Smith transforms of as many again.
+MAX_WINDOW = 2048
+
+
+def check_window(size: int, depth: int) -> None:
+    """PreconditionError if a depth window of size vertices exceeds MAX_WINDOW."""
+    if size > MAX_WINDOW:
+        raise PreconditionError(
+            f"depth-{depth} window of {size} vertices is too large (bound {MAX_WINDOW})"
+        )
+
 
 # -- boundary matrix ---------------------------------------------------------
 
@@ -146,13 +166,18 @@ def compute_k(g: GadgetGraph, depth: int) -> KResult:
     jrows = tuple(i for i in range(n) if i >= rank or diag[i] > 1)
     coord_orders = tuple(diag[i] if i < rank else 0 for i in jrows)
     invariants = QuotientInvariants(tuple(d for d in diag[:rank] if d > 1), n - rank)
+    # V is unimodular and U A V = S, so V's columns past the rank span ker A
+    ncols = bnd.matrix.cols
+    k1_basis = Lattice(ncols, res.v.submatrix(range(ncols), range(rank, ncols))).basis
+    if not (bnd.matrix @ k1_basis).is_zero():
+        raise InternalInvariantError("K1 basis is not in the kernel of the boundary matrix")
     kr = KResult(
         depth=depth,
         boundary=bnd,
         invariants=invariants,
         coord_orders=coord_orders,
         vertex_classes={},
-        k1_basis=kernel_basis(bnd.matrix).basis,
+        k1_basis=k1_basis,
         _u=res.u,
         _jrows=jrows,
     )
@@ -184,11 +209,11 @@ def induced_action(g: GadgetGraph, kr: KResult) -> KResult:
     n = bnd.matrix.rows
     rank = n - kr.invariants.free_rank
     diag = {i: d for i, d in zip(kr._jrows, kr.coord_orders)}
-    for j in range(rank):
-        dj = diag.get(j, 1)
-        for i in range(n):
-            di = diag.get(i, 1) if i < rank else 0
-            val = dj * atilde[i, j]
+    dcols = [diag.get(j, 1) for j in range(rank)]
+    for i, row in enumerate(atilde.entries()):
+        di = diag.get(i, 1) if i < rank else 0
+        for dj, x in zip(dcols, row):
+            val = dj * x
             if (di == 0 and val != 0) or (di and val % di):
                 raise InternalInvariantError("induced K0 action is not well defined")
     m0 = kr.reduce_matrix(atilde.submatrix(kr._jrows, kr._jrows))
@@ -382,8 +407,9 @@ def verify_group_graph(g: GadgetGraph, spec: GroupGraphSpec, depth: int = 3) -> 
 
     def check_functorial():
         mapped = kr._u @ kr.boundary.matrix
+        rows = [mapped.row(i) for i in kr._jrows]
         for j in range(mapped.cols):
-            col = kr.reduce_class(tuple(mapped[i, j] for i in kr._jrows))
+            col = kr.reduce_class(tuple(row[j] for row in rows))
             if any(col):
                 return False, f"relation column {kr.boundary.col_index[j]} has nonzero class"
         return True, "every relation column has zero class"

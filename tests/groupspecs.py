@@ -2,10 +2,15 @@
 
 Each builder returns a GroupGraphSpec whose relation vectors were chosen by
 hand so that they are independent, invariant under the induced permutation
-and span the kernel of the generator map exactly.
+and span the kernel of the generator map exactly.  data_group_graphs()
+builds the group graph files of tests/data.
 """
 
-from cyclat.graphkit import GroupGraphSpec
+import json
+import pathlib
+
+from cyclat.cli import _group_spec_from_json
+from cyclat.graphkit import GroupGraphSpec, build_group_graph
 from cyclat.intlinalg import IntMatrix, Lattice
 
 
@@ -101,3 +106,10 @@ def zsq_swap():
 
 
 ALL_SPECS = (z2_degenerate, z5_mult4, z7_mult2, z3sq_swap, zsq_swap)
+
+
+def data_group_graphs():
+    """(file stem, gadget graph) of each group graph file in tests/data."""
+    for path in sorted((pathlib.Path(__file__).parent / "data").glob("group_*.json")):
+        spec = _group_spec_from_json(json.loads(path.read_text(encoding="utf-8")))
+        yield path.stem, build_group_graph(spec)

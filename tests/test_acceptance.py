@@ -48,7 +48,8 @@ POOL_SEED = 20260819
 
 
 def report(n, label):
-    print(f"ACCEPTANCE {n} PASS: {label}")
+    # a line of its own: under -s pytest's progress dot would otherwise lead it
+    print(f"\nACCEPTANCE {n} PASS: {label}")
 
 
 def rpow(e, k):

@@ -112,3 +112,12 @@ def test_kernel_check_restricts_the_action_once(monkeypatch, capsys):
     assert run_cli(capsys, "module", "check-noncyc", "cyclicR(2,2)", "--p", "2") == 0
     assert len(transforms) == 0
     assert len(solves) == 1
+
+
+def test_graph_ktheory_reads_k1_off_the_smith_transform(monkeypatch, capsys):
+    kernels = count_calls(monkeypatch, cyclat.intlinalg, "kernel_basis")
+    hnfs = count_calls(monkeypatch, cyclat.intlinalg, "hnf")
+    assert run_cli(capsys, "graph", "ktheory", "--strand", "4", "--p", "3") == 0
+    assert len(kernels) == 0
+    # the canonical K1 basis, inv_unimodular for the K0 action, the K1 action solve
+    assert len(hnfs) == 3

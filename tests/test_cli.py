@@ -143,6 +143,46 @@ def test_module_too_large_to_list_is_refused_before_listing(monkeypatch, capsys)
     assert f"bound {cyclat.zmod.MAX_ENUMERATION}" in err
 
 
+def test_strand_window_over_budget_is_refused_before_building(monkeypatch, capsys):
+    def no_building(*args, **kwargs):
+        raise AssertionError("strand graph built")
+
+    monkeypatch.setattr(cyclat.ktheory, "MAX_WINDOW", 8)
+    monkeypatch.setattr(cyclat.cli, "build_strand_graph", no_building)
+    rc, out, err = run_cli(capsys, "graph", "ktheory", "--strand", str(10**9), "--depth", "2")
+    assert rc == 65
+    assert out == ""
+    assert f"window of {2 * 10**9 + 1} vertices" in err
+    assert "bound 8" in err
+
+
+@pytest.mark.parametrize(
+    "argv,size",
+    [
+        (("graph", "build", "--strand", "4"), 9),  # build's largest window is depth 2
+        (("graph", "dot", "--strand", "3", "--depth", "3"), 10),
+        (("graph", "stability", "--strand", "3", "--depth", "2"), 10),  # stability reaches depth 3
+        (("graph", "verify", "--file", str(DATA / "group_z2.json"), "--depth", "3"), 13),
+    ],
+)
+def test_every_graph_command_checks_its_largest_window(monkeypatch, capsys, argv, size):
+    monkeypatch.setattr(cyclat.ktheory, "MAX_WINDOW", size - 1)
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (65, "")
+    assert f"window of {size} vertices is too large (bound {size - 1})" in err
+    monkeypatch.setattr(cyclat.ktheory, "MAX_WINDOW", size)
+    assert run_cli(capsys, *argv)[0] in (0, 1)
+
+
+def test_strand_file_over_budget_is_refused(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "strand.json"
+    path.write_text(json.dumps({"kind": "strand", "m": 4}), encoding="utf-8")
+    monkeypatch.setattr(cyclat.ktheory, "MAX_WINDOW", 8)
+    rc, _, err = run_cli(capsys, "graph", "ktheory", "--file", str(path), "--depth", "2")
+    assert rc == 65
+    assert "window of 9 vertices" in err
+
+
 def test_exhausted_search_has_its_own_exit_code(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise cyclat.SearchExhausted("no invariant basis found", attempts=30, k=4)

@@ -12,6 +12,7 @@ from cyclat.graphkit import (
     build_strand_graph,
     delete_strand,
     is_irreducible,
+    strand_window_size,
     to_dot,
     validate_automorphism,
 )
@@ -457,3 +458,22 @@ def test_spec_rejects_reserved_names():
 def test_all_benchmark_specs_validate():
     for make in ALL_SPECS:
         make().validate()
+
+
+class TestWindowSize:
+    def test_counts_the_window_without_listing_it(self):
+        graphs = [build_strand_graph(m, cyclic) for m in (1, 2, 5) for cyclic in (False, True)]
+        graphs += [build_group_graph(spec()) for spec in ALL_SPECS]
+        for g in graphs:
+            for depth in (1, 2, 7):
+                assert g.window_size(depth) == len(g.window_vertices(depth))
+
+    def test_strand_size_is_known_before_building(self):
+        for m in (1, 2, 3, 16):
+            for depth in (1, 2, 12):
+                assert strand_window_size(m, depth) == build_strand_graph(m).window_size(depth)
+        assert strand_window_size(10**9, 2) == 2 * 10**9 + 1
+
+    def test_depth_below_one_rejected(self):
+        with pytest.raises(PreconditionError):
+            build_strand_graph(2).window_size(0)

@@ -1,15 +1,18 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cyclat.errors import PreconditionError
+from cyclat.errors import InternalInvariantError, PreconditionError
+from cyclat.graphkit import build_strand_graph
 from cyclat.intlinalg import (
     IntMatrix,
     Lattice,
     QuotientInvariants,
+    SnfResult,
     charpoly,
     column_rank,
     det,
@@ -21,6 +24,8 @@ from cyclat.intlinalg import (
     solve_columns,
     xgcd,
 )
+from cyclat.ktheory import boundary_matrix
+from groupspecs import data_group_graphs
 
 
 def mat(rows):
@@ -120,17 +125,17 @@ def textbook_product(a, b, n):
 
 
 @st.composite
-def entry_rows(draw, m, n, kind):
+def entry_rows(draw, m, n, kind, bound=BIG):
     """m rows of n ints: dense, mostly zero, a permutation or unit columns."""
     if kind == "permutation" and m == n:
         perm = draw(st.permutations(range(n)))
         return [[1 if perm[j] == i else 0 for j in range(n)] for i in range(m)]
     if kind in ("permutation", "unit columns"):
         if m == 0:
-            return [] if n == 0 else draw(entry_rows(m, n, "dense"))
+            return [] if n == 0 else draw(entry_rows(m, n, "dense", bound))
         targets = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
         return [[1 if targets[j] == i else 0 for j in range(n)] for i in range(m)]
-    entry = st.integers(-BIG, BIG)
+    entry = st.integers(-bound, bound)
     if kind == "mostly zero":
         entry = st.one_of(st.just(0), st.just(0), st.just(0), st.just(0), entry)
     return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
@@ -329,6 +334,167 @@ class TestSnf:
         for x in snf(a).diag:
             prod *= x
         assert abs(det(a)) == prod
+
+
+def _dense_snf_reference(a: IntMatrix) -> SnfResult:
+    """Smith normal form with both transforms, deterministic pivoting."""
+    m, n = a.rows, a.cols
+    s = [list(row) for row in a.entries()]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_addmul(dst, src, c):
+        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+    def col_addmul(dst, src, c):
+        for row in s:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+
+    def swap_rows(i1, i2):
+        s[i1], s[i2] = s[i2], s[i1]
+        u[i1], u[i2] = u[i2], u[i1]
+
+    def swap_cols(j1, j2):
+        for row in s:
+            row[j1], row[j2] = row[j2], row[j1]
+        for row in v:
+            row[j1], row[j2] = row[j2], row[j1]
+
+    for k in range(min(m, n)):
+        while True:
+            best = None
+            for i in range(k, m):
+                for j in range(k, n):
+                    x = s[i][j]
+                    if x and (best is None or abs(x) < abs(s[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                break
+            if best != (k, k):
+                if best[0] != k:
+                    swap_rows(k, best[0])
+                if best[1] != k:
+                    swap_cols(k, best[1])
+            p = s[k][k]
+            dirty = False
+            for i in range(k + 1, m):
+                if s[i][k]:
+                    q = s[i][k] // p
+                    if q:
+                        row_addmul(i, k, -q)
+                    if s[i][k]:
+                        dirty = True
+            for j in range(k + 1, n):
+                if s[k][j]:
+                    q = s[k][j] // p
+                    if q:
+                        col_addmul(j, k, -q)
+                    if s[k][j]:
+                        dirty = True
+            if dirty:
+                continue
+            if s[k][k] < 0:
+                s[k] = [-x for x in s[k]]
+                u[k] = [-x for x in u[k]]
+            p = s[k][k]
+            offender = None
+            for i in range(k + 1, m):
+                for j in range(k + 1, n):
+                    if s[i][j] % p:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_addmul(k, offender, 1)
+        if all(s[i][j] == 0 for i in range(k, m) for j in range(k, n)):
+            break
+
+    res = SnfResult(IntMatrix._wrap(u, m, m), IntMatrix._wrap(s, m, n), IntMatrix._wrap(v, n, n))
+    if res.u @ a @ res.v != res.s:
+        raise InternalInvariantError("snf transform identity failed")
+    return res
+
+
+@st.composite
+def snf_inputs(draw, max_dim=8):
+    """Matrices up to max_dim square: dense, mostly zero, permutation-like, or with zero lines."""
+    m, n = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    kind = draw(st.sampled_from(["dense", "mostly zero", "permutation", "zero lines"]))
+    rows = draw(entry_rows(m, n, "dense" if kind == "zero lines" else kind, bound=2**40))
+    if kind == "zero lines":
+        dead_rows = draw(st.sets(st.integers(0, m - 1))) if m else set()
+        dead_cols = draw(st.sets(st.integers(0, n - 1))) if n else set()
+        rows = [
+            [0 if i in dead_rows or j in dead_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+    return IntMatrix(rows, shape=(m, n))
+
+
+def _leibniz_det(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i, j in itertools.combinations(range(n), 2) if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def determinantal_divisors(a: IntMatrix) -> list[int]:
+    """D_0 = 1 and D_k = gcd of the k x k minors of a, for k up to min(m, n)."""
+    out = [1]
+    for k in range(1, min(a.rows, a.cols) + 1):
+        g = 0
+        for ri in itertools.combinations(range(a.rows), k):
+            for ci in itertools.combinations(range(a.cols), k):
+                g = math.gcd(g, _leibniz_det([[a[i, j] for j in ci] for i in ri]))
+        out.append(g)
+    return out
+
+
+class TestSnfOracle:
+    """The sparse snf returns exactly the transforms of the dense elimination."""
+
+    @staticmethod
+    def assert_same(a):
+        got, want = snf(a), _dense_snf_reference(a)
+        assert got.u == want.u
+        assert got.s == want.s
+        assert got.v == want.v
+
+    @given(snf_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_dense_reference(self, a):
+        self.assert_same(a)
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_strand_boundary_matrices(self, m, cyclic):
+        g = build_strand_graph(m, cyclic=cyclic)
+        for depth in range(2, 7):
+            self.assert_same(boundary_matrix(g, depth).matrix)
+
+    def test_group_boundary_matrices(self):
+        graphs = list(data_group_graphs())
+        assert [name for name, _ in graphs] == ["group_z2", "group_z5"]
+        for _, g in graphs:
+            for depth in range(2, 5):
+                self.assert_same(boundary_matrix(g, depth).matrix)
+
+    @given(snf_inputs(max_dim=4))
+    @settings(max_examples=150, deadline=None)
+    def test_diagonal_is_quotient_of_determinantal_divisors(self, a):
+        dk = determinantal_divisors(a)
+        want = tuple(dk[k] // dk[k - 1] if dk[k - 1] else 0 for k in range(1, len(dk)))
+        assert snf(a).diag == want
 
 
 class TestSolveAndInverse:

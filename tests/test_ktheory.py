@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
-from cyclat.errors import PreconditionError
+import cyclat
+from cyclat.errors import InternalInvariantError, PreconditionError
 from cyclat.graphkit import (
     INWARD,
     GadgetGraph,
@@ -19,7 +22,15 @@ from cyclat.ktheory import (
     stabilization_check,
     verify_group_graph,
 )
-from groupspecs import ALL_SPECS, z2_degenerate, z3sq_swap, z5_mult4, z7_mult2, zsq_swap
+from groupspecs import (
+    ALL_SPECS,
+    data_group_graphs,
+    z2_degenerate,
+    z3sq_swap,
+    z5_mult4,
+    z7_mult2,
+    zsq_swap,
+)
 from polyhelp import poly_divides, x_pow_minus_one
 
 
@@ -378,3 +389,31 @@ def test_automorphism_order_matches_action_order():
         check = report.check("automorphism")
         assert check.passed
         assert f"action order {expected[make.__name__]}" in check.detail
+
+
+def k1_graphs():
+    for m in range(1, 17):
+        for cyclic in (False, True):
+            yield f"strand {m}{' cyclic' if cyclic else ''}", build_strand_graph(m, cyclic)
+    yield from data_group_graphs()
+    for spec in ALL_SPECS:
+        yield spec.__name__, build_group_graph(spec())
+
+
+class TestK1FromSmithTransform:
+    def test_matches_the_kernel_of_the_boundary_matrix(self):
+        for name, g in k1_graphs():
+            for depth in range(2, 7):
+                want = kernel_basis(boundary_matrix(g, depth).matrix).basis
+                assert compute_k(g, depth).k1_basis == want, (name, depth)
+
+    def test_basis_outside_the_kernel_is_caught(self, monkeypatch):
+        real_snf = cyclat.ktheory.snf
+
+        def identity_v(a):
+            res = real_snf(a)
+            return dataclasses.replace(res, v=IntMatrix.identity(a.cols))
+
+        monkeypatch.setattr(cyclat.ktheory, "snf", identity_v)
+        with pytest.raises(InternalInvariantError, match="K1 basis"):
+            compute_k(build_strand_graph(4), 2)
