@@ -3,13 +3,15 @@
 Matrices are immutable and bignum-exact; there is not a float anywhere in
 this package.  The normal forms (column-style Hermite, Smith) are computed
 with deterministic pivoting so that repeated runs, and the golden values
-frozen in the tests, agree byte for byte.  Both eliminations work on the
-nonzero entries only: ``hnf`` skips zero entries of the column it adds, and
-``snf`` holds each working row as its nonzero entries, so its pivot search,
-its row and column eliminations, its divisibility scan and its stop test
-cost in proportion to the nonzero entries of the remaining block, not to
-its size.  A gadget graph's boundary matrix has about two nonzero entries
-per column (208 in the 97 x 112 matrix of 16 strands at depth 6).
+frozen in the tests, agree byte for byte.  Both eliminations hold their
+working vectors as ``{index: nonzero entry}`` and update them through the
+one ``_sparse_addmul``: ``snf`` the rows of S and U and the columns of V,
+``hnf`` the columns of A with the n x n identity stacked under them, so one
+column operation builds H and its transform U together.  Pivot searches,
+eliminations and the divisibility scan cost in proportion to the nonzero
+entries of the remaining block, not to its size.  A gadget graph's boundary
+matrix has about two nonzero entries per column (208 in the 97 x 112 matrix
+of 16 strands at depth 6).
 
 Most products in the package involve permutation or unit-column matrices,
 so ``A @ B`` and ``A.apply(v)`` skip zero entries: a product costs in
@@ -100,7 +102,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._wrap(((1 if i == j else 0 for j in range(n)) for i in range(n)), n, n)
+        return cls.unit_columns(n, range(n))
 
     @classmethod
     def diag(cls, values: Sequence[int]) -> "IntMatrix":
@@ -128,7 +130,7 @@ class IntMatrix:
             rows = len(columns[0])
         if any(len(c) != rows for c in columns):
             raise PreconditionError("ragged columns")
-        return cls((tuple(c[i] for c in columns) for i in range(rows)), shape=(rows, len(columns)))
+        return cls(zip(*columns) if columns else ((),) * rows, shape=(rows, len(columns)))
 
     @classmethod
     def hstack(cls, *mats: "IntMatrix") -> "IntMatrix":
@@ -318,12 +320,26 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 # -- Hermite form --------------------------------------------------------------
 
 
-def _col_addmul(cols: list[list[int]], ucols: list[list[int]], dst: int, src: int, c: int) -> None:
-    for mat in (cols, ucols):
-        out = mat[dst]
-        for i, x in enumerate(mat[src]):
-            if x:
-                out[i] += c * x
+def _sparse_addmul(rows: list[dict[int, int]], dst: int, src: int, c: int) -> None:
+    """rows[dst] += c * rows[src] on rows held as {index: nonzero entry}."""
+    out = rows[dst]
+    for j, x in rows[src].items():
+        y = out.get(j, 0) + c * x
+        if y:
+            out[j] = y
+        else:
+            del out[j]
+
+
+def _dense_rows(rows: Sequence[dict[int, int]], width: int, place: Sequence[int]) -> list[list[int]]:
+    """Rows of ints of the given width, entry j of a sparse row going to place[j]."""
+    out = []
+    for row in rows:
+        dense = [0] * width
+        for j, x in row.items():
+            dense[place[j]] = x
+        out.append(dense)
+    return out
 
 
 def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -333,43 +349,46 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     the previous pivot's row, and the entries to its left in its row are
     reduced into [0, pivot).  Trailing columns of H are zero.  H is the
     canonical basis matrix of the column span.
+
+    Pivot of row i: the smallest |entry| in the columns from the current
+    pivot on (ties: the first); the others are reduced by it until it is
+    alone.  Working column j is A's column j over the identity's: U below H.
     """
     m, n = a.rows, a.cols
-    cols = [list(a.col(j)) for j in range(n)]
-    ucols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    cols = [{m + j: 1} for j in range(n)]
+    for i, row in enumerate(a.entries()):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
     piv = 0
     for i in range(m):
         if piv == n:
             break
-        j0 = -1
-        while True:
-            live = [j for j in range(piv, n) if cols[j][i] != 0]
-            if not live:
-                j0 = -1
-                break
-            j0 = min(live, key=lambda j: (abs(cols[j][i]), j))
-            others = [j for j in live if j != j0]
-            if not others:
-                break
-            for j in others:
-                q = cols[j][i] // cols[j0][i]
-                if q:
-                    _col_addmul(cols, ucols, j, j0, -q)
-        if j0 < 0:
+        live = [j for j in range(piv, n) if i in cols[j]]
+        if not live:
             continue
-        if j0 != piv:
-            cols[piv], cols[j0] = cols[j0], cols[piv]
-            ucols[piv], ucols[j0] = ucols[j0], ucols[piv]
+        while True:
+            j0 = min(live, key=lambda j: (abs(cols[j][i]), j))
+            if len(live) == 1:
+                break
+            for j in live:
+                if j != j0:
+                    q = cols[j][i] // cols[j0][i]
+                    if q:
+                        _sparse_addmul(cols, j, j0, -q)
+            # columns outside live stay zero in row i, and j0 stays nonzero
+            live = [j for j in live if i in cols[j]]
+        cols[piv], cols[j0] = cols[j0], cols[piv]
         if cols[piv][i] < 0:
-            cols[piv] = [-x for x in cols[piv]]
-            ucols[piv] = [-x for x in ucols[piv]]
+            cols[piv] = {r: -x for r, x in cols[piv].items()}
         p = cols[piv][i]
         for j in range(piv):
-            q = cols[j][i] // p
+            q = cols[j].get(i, 0) // p
             if q:
-                _col_addmul(cols, ucols, j, piv, -q)
+                _sparse_addmul(cols, j, piv, -q)
         piv += 1
-    return IntMatrix._from_columns(cols, m), IntMatrix._from_columns(ucols, n)
+    stacked = IntMatrix._from_columns(_dense_rows(cols, m + n, range(m + n)), m + n).entries()
+    return IntMatrix._wrap(stacked[:m], m, n), IntMatrix._wrap(stacked[m:], n, n)
 
 
 def _pivots(h: IntMatrix) -> tuple[int, ...]:
@@ -378,10 +397,11 @@ def _pivots(h: IntMatrix) -> tuple[int, ...]:
     The nonzero columns come first and each is zero above its pivot, which
     lies strictly below the previous one, so one downward sweep finds them.
     """
+    ent = h.entries()
     out = []
     i = 0
     for j in range(h.cols):
-        while i < h.rows and h[i, j] == 0:
+        while i < h.rows and ent[i][j] == 0:
             i += 1
         if i == h.rows:
             break
@@ -392,16 +412,17 @@ def _pivots(h: IntMatrix) -> tuple[int, ...]:
 
 def _hnf_coords(h: IntMatrix, pivots: Sequence[int], v: Sequence[int]) -> Optional[list[int]]:
     """y with h[:, :len(pivots)] @ y == v by substitution down the pivot rows, or None."""
+    ent = h.entries()
     x = list(v)
     out = []
     for k, i in enumerate(pivots):
-        c, rem = divmod(x[i], h[i, k])
+        c, rem = divmod(x[i], ent[i][k])
         if rem:
             return None
         out.append(c)
         if c:
             for ii in range(i, len(x)):
-                x[ii] -= c * h[ii, k]
+                x[ii] -= c * ent[ii][k]
     return None if any(x) else out
 
 
@@ -433,28 +454,6 @@ class SnfResult:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diag if d != 0)
-
-
-def _sparse_addmul(rows: list[dict[int, int]], dst: int, src: int, c: int) -> None:
-    """rows[dst] += c * rows[src] on rows held as {index: nonzero entry}."""
-    out = rows[dst]
-    for j, x in rows[src].items():
-        y = out.get(j, 0) + c * x
-        if y:
-            out[j] = y
-        else:
-            del out[j]
-
-
-def _dense_rows(rows: Sequence[dict[int, int]], width: int, place: Sequence[int]) -> list[list[int]]:
-    """Rows of ints of the given width, entry j of a sparse row going to place[j]."""
-    out = []
-    for row in rows:
-        dense = [0] * width
-        for j, x in row.items():
-            dense[place[j]] = x
-        out.append(dense)
-    return out
 
 
 def snf(a: IntMatrix) -> SnfResult:

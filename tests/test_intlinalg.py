@@ -25,6 +25,8 @@ from cyclat.intlinalg import (
     xgcd,
 )
 from cyclat.ktheory import boundary_matrix
+from cyclat.presentation import build_aug
+from cyclat.zmod import build, parse_modspec, random_unimodular
 from groupspecs import data_group_graphs
 
 
@@ -497,6 +499,108 @@ class TestSnfOracle:
         assert snf(a).diag == want
 
 
+def _dense_hnf_reference(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Column Hermite normal form: (H, U) with H == A @ U, U unimodular.
+
+    The dense elimination on lists of columns, with a separate U, that the
+    sparse hnf replaced; it keeps the same pivot rule and operation order.
+    """
+
+    def col_addmul(dst: int, src: int, c: int) -> None:
+        for mat in (cols, ucols):
+            out = mat[dst]
+            for i, x in enumerate(mat[src]):
+                if x:
+                    out[i] += c * x
+
+    m, n = a.rows, a.cols
+    cols = [list(a.col(j)) for j in range(n)]
+    ucols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    piv = 0
+    for i in range(m):
+        if piv == n:
+            break
+        j0 = -1
+        while True:
+            live = [j for j in range(piv, n) if cols[j][i] != 0]
+            if not live:
+                j0 = -1
+                break
+            j0 = min(live, key=lambda j: (abs(cols[j][i]), j))
+            others = [j for j in live if j != j0]
+            if not others:
+                break
+            for j in others:
+                q = cols[j][i] // cols[j0][i]
+                if q:
+                    col_addmul(j, j0, -q)
+        if j0 < 0:
+            continue
+        if j0 != piv:
+            cols[piv], cols[j0] = cols[j0], cols[piv]
+            ucols[piv], ucols[j0] = ucols[j0], ucols[piv]
+        if cols[piv][i] < 0:
+            cols[piv] = [-x for x in cols[piv]]
+            ucols[piv] = [-x for x in ucols[piv]]
+        p = cols[piv][i]
+        for j in range(piv):
+            q = cols[j][i] // p
+            if q:
+                col_addmul(j, piv, -q)
+        piv += 1
+    return IntMatrix._from_columns(cols, m), IntMatrix._from_columns(ucols, n)
+
+
+class TestHnfOracle:
+    """The sparse hnf returns exactly the H and U of the dense elimination."""
+
+    @staticmethod
+    def assert_same(a):
+        (h, u), (want_h, want_u) = hnf(a), _dense_hnf_reference(a)
+        assert h == want_h
+        assert u == want_u
+        assert_public_form(h)
+        assert_public_form(u)
+
+    @given(snf_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_reference(self, a):
+        self.assert_same(a)
+
+    @given(snf_inputs(max_dim=5))
+    @settings(max_examples=100, deadline=None)
+    def test_stacked_on_itself(self, a):
+        # repeated and opposite columns make every pivot search tie
+        self.assert_same(IntMatrix.hstack(a, a, -a))
+
+    @pytest.mark.parametrize(
+        "spec, p",
+        [("triv(4)", 3), ("cyclicR(2,1)", 2), ("cyclicR(2,1)", 3), ("cyclicR(2,1)+triv(2)", 2),
+         ("cyclicR(3,1)", 2), ("cyclicR(2,2)", 2)],
+    )
+    def test_presentation_kernels(self, spec, p):
+        # the matrix whose kernel build_aug's M.rel.preimage(pi) reads off U
+        m = build(parse_modspec(spec), p)
+        pres = build_aug(m)
+        self.assert_same(IntMatrix.hstack(pres.pi_matrix, -m.rel.basis))
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 16])
+    def test_strand_boundary_matrices(self, m, cyclic):
+        g = build_strand_graph(m, cyclic=cyclic)
+        for depth in (2, 4, 6):
+            a = boundary_matrix(g, depth).matrix
+            self.assert_same(a)
+            self.assert_same(a.transpose())
+
+    @given(snf_inputs(max_dim=6), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_unique_under_unimodular_column_change(self, a, seed):
+        # H depends on the column span only, not on the generators
+        w = random_unimodular(random.Random(seed), a.cols)
+        assert hnf(a @ w)[0] == hnf(a)[0]
+
+
 class TestSolveAndInverse:
     def test_solvable(self):
         a = mat([[2, 0], [0, 3]])
@@ -651,6 +755,18 @@ def full_rank_lattices(draw, n=3):
     return lat
 
 
+@st.composite
+def sublattice_triples(draw):
+    """Lattices L1, L2, L3 of Z^n (any rank) with L2 = L1 @ C inside L1."""
+    n = draw(st.integers(1, 4))
+    vectors = st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=n + 1)
+    l1 = Lattice.spanned_by(draw(vectors), ambient=n)
+    l3 = Lattice.spanned_by(draw(vectors), ambient=n)
+    k = draw(st.integers(0, 3))
+    c = draw(entry_rows(l1.rank, k, draw(KINDS), bound=3))
+    return l1, Lattice(n, l1.basis @ IntMatrix(c, shape=(l1.rank, k))), l3
+
+
 class TestPreimageOracle:
     """Lattice.preimage and intersect against membership and the lattice laws."""
 
@@ -679,3 +795,15 @@ class TestPreimageOracle:
         total, meet = l1 + l2, l1.intersect(l2)
         assert l2.index() * l1.index() == total.index() * meet.index()
         assert quotient_invariants(total, l2) == quotient_invariants(l1, meet)
+        # the index law again, the orders read off snf, the indices off the HNF pivots
+        order = quotient_invariants(total, l2).order()
+        assert order * total.index() == l2.index()
+        assert order * l1.index() == meet.index()
+
+    @given(sublattice_triples())
+    @settings(max_examples=80, deadline=None)
+    def test_modular_law(self, case):
+        # L1 cap (L2 + L3) == L2 + (L1 cap L3) whenever L2 <= L1
+        l1, l2, l3 = case
+        assert l1.contains(l2)
+        assert l1.intersect(l2 + l3) == l2 + l1.intersect(l3)
