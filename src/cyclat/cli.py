@@ -24,11 +24,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .cyclo_ring import (
-    check_twist_power_identity,
-    decompose_prime,
-    is_prime,
-)
+from .cyclo_ring import decompose_prime, is_prime
 from .errors import (
     InternalInvariantError,
     ParseError,
@@ -154,7 +150,7 @@ def cmd_ring_identities(cfg: WorkbenchConfig, args) -> int:
     rep.say(f"core at 1: {sum(ids.core.coeffs)}")
     rep.say(f"twist_coeff: {ids.twist_coeff}")
     rep.say(f"norm_coeff: {ids.norm_coeff}")
-    ok = all(check_twist_power_identity(cfg.p, k) for k in range(1, cfg.kmax + 1))
+    ok = all(ids.twist_power_identity_holds(k) for k in range(1, cfg.kmax + 1))
     rep.say(f"power identities up to k = {cfg.kmax}: {'ok' if ok else 'FAILED'}")
     rep.put("p", cfg.p)
     rep.put("core", list(ids.core.coeffs))

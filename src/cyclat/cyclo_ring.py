@@ -234,6 +234,15 @@ class PrimeIdentities:
     norm_coeff: RingElt
     steps: tuple[SubstitutionStep, ...]
 
+    def twist_power_identity_holds(self, k: int) -> bool:
+        """Whether twist^(k(p-1)) == p^k * core^k + (-1)^(k-1) * p^(k-1) * norm."""
+        if k < 1:
+            raise PreconditionError("k must be positive")
+        p = self.p
+        lhs = twist(p).pow(k * (p - 1))
+        rhs = (p**k) * self.core.pow(k) + ((-1) ** (k - 1)) * (p ** (k - 1)) * norm(p)
+        return lhs == rhs
+
 
 def decompose_prime(p: int) -> PrimeIdentities:
     """Build and verify the decomposition of p inside Z[x]/(x^p - 1)."""
@@ -291,9 +300,4 @@ def decompose_prime(p: int) -> PrimeIdentities:
 
 def check_twist_power_identity(p: int, k: int) -> bool:
     """Whether twist^(k(p-1)) == p^k * core^k + (-1)^(k-1) * p^(k-1) * norm."""
-    if k < 1:
-        raise PreconditionError("k must be positive")
-    core = decompose_prime(p).core
-    lhs = twist(p).pow(k * (p - 1))
-    rhs = (p**k) * core.pow(k) + ((-1) ** (k - 1)) * (p ** (k - 1)) * norm(p)
-    return lhs == rhs
+    return decompose_prime(p).twist_power_identity_holds(k)

@@ -3,23 +3,18 @@
 Matrices are immutable and bignum-exact; there is not a float anywhere in
 this package.  The normal forms (column-style Hermite, Smith) are computed
 with deterministic pivoting so that repeated runs, and the golden values
-frozen in the tests, agree byte for byte.  Both eliminations hold their
-working vectors as ``{index: nonzero entry}`` and update them through the
-one ``_sparse_addmul``: ``snf`` the rows of S and U and the columns of V,
-``hnf`` the columns of A with the n x n identity stacked under them, so one
-column operation builds H and its transform U together.  Pivot searches,
-eliminations and the divisibility scan cost in proportion to the nonzero
-entries of the remaining block, not to its size.  A gadget graph's boundary
-matrix has about two nonzero entries per column (208 in the 97 x 112 matrix
-of 16 strands at depth 6).
+frozen in the tests, agree byte for byte.
 
-Most products in the package involve permutation or unit-column matrices,
-so ``A @ B`` and ``A.apply(v)`` skip zero entries: a product costs in
-proportion to the nonzero entries of A times the nonzero entries of the
-rows of B they meet (Gustavson's row-by-row sparse product), and ``apply``
-in proportion to the nonzero entries of v times the row count.  Results
-computed here are already tuples of ints and are wrapped without the
-coercion and shape checks that caller data goes through.
+An ``IntMatrix`` stores each row as ``{column: nonzero entry}``, the one
+format every kernel reads and writes; the package's matrices (permutation
+actions, unit-column embeddings, presentation kernels, gadget boundary
+matrices) have a few nonzero entries per row.  All updates go through the
+one ``_addmul(out, row, c)``, ``out += c * row``: ``+`` and ``-``, ``A @ B``
+(Gustavson's row-by-row product: row i of the result sums A[i, k] times
+row k of B), ``snf`` on the rows of S and U and the columns of V, and
+``hnf`` on the columns of A stacked on the identity, so one column
+operation builds H and U together.  Each costs in proportion to the
+nonzero entries it meets, not to the size of the matrix.
 
 Conventions that the rest of the package leans on:
 
@@ -27,7 +22,7 @@ Conventions that the rest of the package leans on:
   pivots positive, pivot rows strictly increasing, entries to the left of a
   pivot in its row reduced into ``[0, pivot)``.  ``H`` with zero columns
   dropped is the canonical basis of the column span, which is what makes
-  ``Lattice`` equality decidable by tuple comparison.
+  ``Lattice`` equality decidable by comparing bases.
 * ``snf`` returns ``U @ A @ V == S`` with nonnegative diagonal and each
   diagonal entry dividing the next.  Its pivot at step k is the smallest
   |entry| of the remaining block, ties going to the first in row-major
@@ -41,15 +36,30 @@ Conventions that the rest of the package leans on:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
 
 
+def _addmul(out: dict[int, int], row: dict[int, int], c: int) -> None:
+    """out += c * row, for c != 0 and vectors held as {index: nonzero entry}."""
+    for j, x in row.items():
+        y = out.get(j, 0) + c * x
+        if y:
+            out[j] = y
+        else:
+            del out[j]
+
+
 class IntMatrix:
-    """Immutable integer matrix, stored row-major as nested tuples.
+    """Immutable integer matrix, each row held as {column: nonzero entry}.
+
+    No zero is ever stored, so two matrices of one shape are equal exactly
+    when their row dictionaries are, and ``hash`` reads the same items.
+    Rows handed to ``_wrap`` are owned by the matrix and never mutated
+    afterwards; matrices may share rows, and every kernel that updates rows
+    in place works on its own copies.
 
     Zero-row and zero-column shapes are legal: the shape is carried
     explicitly, so e.g. a basis of the zero lattice in Z^n is an n x 0
@@ -69,27 +79,23 @@ class IntMatrix:
                 raise PreconditionError(f"expected {m} rows, got {len(ent)}")
         if any(len(row) != n for row in ent):
             raise PreconditionError("ragged rows")
-        object.__setattr__(self, "_ent", ent)
+        rows = tuple({j: x for j, x in enumerate(row) if x} for row in ent)
+        object.__setattr__(self, "_ent", rows)
         object.__setattr__(self, "rows", m)
         object.__setattr__(self, "cols", n)
 
     @classmethod
-    def _wrap(cls, rows: Iterable[Sequence[int]], m: int, n: int) -> "IntMatrix":
-        """The m x n matrix on m rows of n ints each, computed in this module.
+    def _wrap(cls, rows: Iterable[dict[int, int]], m: int, n: int) -> "IntMatrix":
+        """The m x n matrix on m rows {column < n: nonzero int}, computed in this module.
 
         Skips the int() coercion and the shape checks that caller data goes
-        through; only the rows are made tuples.
+        through, and takes the rows over without copying them.
         """
         out = object.__new__(cls)
-        object.__setattr__(out, "_ent", tuple(map(tuple, rows)))
+        object.__setattr__(out, "_ent", tuple(rows))
         object.__setattr__(out, "rows", m)
         object.__setattr__(out, "cols", n)
         return out
-
-    @classmethod
-    def _from_columns(cls, columns: Sequence[Sequence[int]], m: int) -> "IntMatrix":
-        """The m-row matrix on columns of ints, each of length m."""
-        return cls._wrap(zip(*columns) if columns else ((),) * m, m, len(columns))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -98,7 +104,7 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "IntMatrix":
-        return cls._wrap(((0,) * n,) * m, m, n)
+        return cls._wrap([{} for _ in range(m)], m, n)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -116,7 +122,7 @@ class IntMatrix:
         Permutation matrices and the embeddings of one element basis into
         another are all of this kind.
         """
-        out = [[0] * len(targets) for _ in range(rows)]
+        out = [{} for _ in range(rows)]
         for j, i in enumerate(targets):
             out[i][j] = 1
         return cls._wrap(out, rows, len(targets))
@@ -136,14 +142,9 @@ class IntMatrix:
     def hstack(cls, *mats: "IntMatrix") -> "IntMatrix":
         if not mats:
             raise PreconditionError("hstack of nothing")
-        m = mats[0].rows
-        if any(a.rows != m for a in mats):
+        if any(a.rows != mats[0].rows for a in mats):
             raise PreconditionError("hstack row mismatch")
-        return cls._wrap(
-            ((x for a in mats for x in a._ent[i]) for i in range(m)),
-            m,
-            sum(a.cols for a in mats),
-        )
+        return cls._tile(mats, diagonal=False)
 
     @classmethod
     def vstack(cls, *mats: "IntMatrix") -> "IntMatrix":
@@ -156,49 +157,65 @@ class IntMatrix:
 
     @classmethod
     def block_diag(cls, *mats: "IntMatrix") -> "IntMatrix":
-        m = sum(a.rows for a in mats)
-        n = sum(a.cols for a in mats)
-        out = [[0] * n for _ in range(m)]
+        return cls._tile(mats, diagonal=True)
+
+    @classmethod
+    def _tile(cls, mats: Sequence["IntMatrix"], diagonal: bool) -> "IntMatrix":
+        """mats side by side: each below the previous one if diagonal, else level with it."""
+        m = sum(a.rows for a in mats) if diagonal else mats[0].rows
+        out = [{} for _ in range(m)]
         i0 = j0 = 0
         for a in mats:
-            for i in range(a.rows):
-                out[i0 + i][j0 : j0 + a.cols] = a._ent[i]
-            i0 += a.rows
+            for i, row in enumerate(a._ent, i0):
+                out[i].update((j0 + j, x) for j, x in row.items())
+            if diagonal:
+                i0 += a.rows
             j0 += a.cols
-        return cls._wrap(out, m, n)
+        return cls._wrap(out, m, j0)
 
     # -- accessors ------------------------------------------------------------
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
-        return self._ent[i][j]
+        return self._ent[i].get(range(self.cols)[j], 0)
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self._ent[i]
+        out = [0] * self.cols
+        for j, x in self._ent[i].items():
+            out[j] = x
+        return tuple(out)
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self._ent)
+        j = range(self.cols)[j]
+        return tuple(row.get(j, 0) for row in self._ent)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.col(j) for j in range(self.cols)]
+        return list(self.transpose().entries())
 
     def entries(self) -> tuple[tuple[int, ...], ...]:
-        return self._ent
+        return tuple(map(self.row, range(self.rows)))
 
     def tolist(self) -> list[list[int]]:
-        return [list(r) for r in self._ent]
+        return [list(r) for r in self.entries()]
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
-        ent = self._ent
-        return IntMatrix._wrap(
-            ((ent[i][j] for j in col_idx) for i in row_idx), len(row_idx), len(col_idx)
-        )
+        """Rows row_idx and columns col_idx, in that order; indices may repeat."""
+        cols = [range(self.cols)[j] for j in col_idx]
+        out = []
+        for i in row_idx:
+            row = self._ent[i]
+            out.append({k: row[j] for k, j in enumerate(cols) if j in row})
+        return IntMatrix._wrap(out, len(out), len(cols))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix._from_columns(self._ent, self.cols)
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._ent):
+            for j, x in row.items():
+                out[j][i] = x
+        return IntMatrix._wrap(out, self.cols, self.rows)
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self._ent)
+        return not any(self._ent)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -206,29 +223,29 @@ class IntMatrix:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return IntMatrix._wrap(
-            (map(operator.add, ra, rb) for ra, rb in zip(self._ent, other._ent)),
-            self.rows,
-            self.cols,
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return IntMatrix._wrap(
-            (map(operator.sub, ra, rb) for ra, rb in zip(self._ent, other._ent)),
-            self.rows,
-            self.cols,
-        )
+        return self._plus(other, -1)
+
+    def _plus(self, other: "IntMatrix", c: int) -> "IntMatrix":
+        """self + c * other."""
+        if self.rows != other.rows or self.cols != other.cols:
+            raise PreconditionError("shape mismatch")
+        out = [dict(row) for row in self._ent]
+        for acc, row in zip(out, other._ent):
+            _addmul(acc, row, c)
+        return IntMatrix._wrap(out, self.rows, self.cols)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix._wrap(((-a for a in row) for row in self._ent), self.rows, self.cols)
+        return -1 * self
 
     def __mul__(self, c: int) -> "IntMatrix":
         if not isinstance(c, int):
             return NotImplemented
         c = int(c)  # a plain int, so every product below is one too
-        return IntMatrix._wrap(((c * a for a in row) for row in self._ent), self.rows, self.cols)
+        rows = [{j: c * x for j, x in row.items()} if c else {} for row in self._ent]
+        return IntMatrix._wrap(rows, self.rows, self.cols)
 
     __rmul__ = __mul__
 
@@ -239,27 +256,25 @@ class IntMatrix:
             raise PreconditionError(
                 f"shape mismatch: ({self.rows}x{self.cols}) @ ({other.rows}x{other.cols})"
             )
-        n = other.cols
-        # row k of other as its (column, value) pairs with nonzero value
-        sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other._ent]
+        brows = other._ent
         out = []
         for row in self._ent:
-            acc = [0] * n
-            for a, brow in zip(row, sparse_rows):
-                if a:
-                    for j, b in brow:
-                        acc[j] += a * b
+            acc = {}
+            for k, a in row.items():
+                _addmul(acc, brows[k], a)
             out.append(acc)
-        return IntMatrix._wrap(out, self.rows, n)
+        return IntMatrix._wrap(out, self.rows, other.cols)
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product as a plain tuple."""
         if len(v) != self.cols:
             raise PreconditionError("vector length mismatch")
-        out = [0] * self.rows
-        for k, x in enumerate(v):
-            if x:
-                out = [o + x * row[k] for o, row in zip(out, self._ent)]
+        out = []
+        for row in self._ent:
+            acc = 0
+            for j, x in row.items():
+                acc += x * v[j]
+            out.append(acc)
         return tuple(out)
 
     def pow(self, k: int) -> "IntMatrix":
@@ -279,13 +294,9 @@ class IntMatrix:
     def trace(self) -> int:
         if not self.is_square():
             raise PreconditionError("trace of a non-square matrix")
-        return sum(self._ent[i][i] for i in range(self.rows))
+        return sum(row.get(i, 0) for i, row in enumerate(self._ent))
 
     # -- plumbing ---------------------------------------------------------
-
-    def _same_shape(self, other: "IntMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise PreconditionError("shape mismatch")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
@@ -293,12 +304,12 @@ class IntMatrix:
         return self.rows == other.rows and self.cols == other.cols and self._ent == other._ent
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._ent))
+        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self._ent)))
 
     def __repr__(self) -> str:
         if self.rows == 0 or self.cols == 0:
             return f"IntMatrix.zeros({self.rows}, {self.cols})"
-        body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self._ent)
+        body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.entries())
         return f"IntMatrix([{body}])"
 
 
@@ -320,28 +331,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 # -- Hermite form --------------------------------------------------------------
 
 
-def _sparse_addmul(rows: list[dict[int, int]], dst: int, src: int, c: int) -> None:
-    """rows[dst] += c * rows[src] on rows held as {index: nonzero entry}."""
-    out = rows[dst]
-    for j, x in rows[src].items():
-        y = out.get(j, 0) + c * x
-        if y:
-            out[j] = y
-        else:
-            del out[j]
-
-
-def _dense_rows(rows: Sequence[dict[int, int]], width: int, place: Sequence[int]) -> list[list[int]]:
-    """Rows of ints of the given width, entry j of a sparse row going to place[j]."""
-    out = []
-    for row in rows:
-        dense = [0] * width
-        for j, x in row.items():
-            dense[place[j]] = x
-        out.append(dense)
-    return out
-
-
 def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Column Hermite normal form: (H, U) with H == A @ U, U unimodular.
 
@@ -356,10 +345,9 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """
     m, n = a.rows, a.cols
     cols = [{m + j: 1} for j in range(n)]
-    for i, row in enumerate(a.entries()):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
+    for i, row in enumerate(a._ent):
+        for j, x in row.items():
+            cols[j][i] = x
     piv = 0
     for i in range(m):
         if piv == n:
@@ -375,7 +363,7 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 if j != j0:
                     q = cols[j][i] // cols[j0][i]
                     if q:
-                        _sparse_addmul(cols, j, j0, -q)
+                        _addmul(cols[j], cols[j0], -q)
             # columns outside live stay zero in row i, and j0 stays nonzero
             live = [j for j in live if i in cols[j]]
         cols[piv], cols[j0] = cols[j0], cols[piv]
@@ -385,9 +373,9 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         for j in range(piv):
             q = cols[j].get(i, 0) // p
             if q:
-                _sparse_addmul(cols, j, piv, -q)
+                _addmul(cols[j], cols[piv], -q)
         piv += 1
-    stacked = IntMatrix._from_columns(_dense_rows(cols, m + n, range(m + n)), m + n).entries()
+    stacked = IntMatrix._wrap(cols, n, m + n).transpose()._ent
     return IntMatrix._wrap(stacked[:m], m, n), IntMatrix._wrap(stacked[m:], n, n)
 
 
@@ -395,35 +383,36 @@ def _pivots(h: IntMatrix) -> tuple[int, ...]:
     """Pivot row of each nonzero column of a column Hermite form.
 
     The nonzero columns come first and each is zero above its pivot, which
-    lies strictly below the previous one, so one downward sweep finds them.
+    lies strictly below the previous one, so a row holds the pivot of the
+    next column exactly when it has an entry there.
     """
-    ent = h.entries()
     out = []
-    i = 0
-    for j in range(h.cols):
-        while i < h.rows and ent[i][j] == 0:
-            i += 1
-        if i == h.rows:
-            break
-        out.append(i)
-        i += 1
+    for i, row in enumerate(h._ent):
+        if len(out) in row:
+            out.append(i)
     return tuple(out)
 
 
-def _hnf_coords(h: IntMatrix, pivots: Sequence[int], v: Sequence[int]) -> Optional[list[int]]:
-    """y with h[:, :len(pivots)] @ y == v by substitution down the pivot rows, or None."""
-    ent = h.entries()
-    x = list(v)
-    out = []
-    for k, i in enumerate(pivots):
-        c, rem = divmod(x[i], ent[i][k])
-        if rem:
-            return None
-        out.append(c)
-        if c:
-            for ii in range(i, len(x)):
-                x[ii] -= c * ent[ii][k]
-    return None if any(x) else out
+def _hnf_divmod(h: IntMatrix, v: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with v == H q + r, by floor division down the pivot rows of H.
+
+    r lies in [0, pivot) at each pivot row of the column Hermite form H, so
+    it is zero exactly when v is in the column span, and q is then v's
+    coordinate vector.  Row i has entries only in the columns pivoted at or
+    above it, so one pass down the rows suffices.
+    """
+    q, r = [], []
+    for x, row in zip(v, h._ent):
+        k = len(q)
+        for j, c in row.items():
+            if j != k:
+                x -= q[j] * c
+        if k in row:
+            d = x // row[k]
+            q.append(d)
+            x -= d * row[k]
+        r.append(x)
+    return q, r
 
 
 def _kernel_columns(a: IntMatrix) -> IntMatrix:
@@ -470,7 +459,7 @@ def snf(a: IntMatrix) -> SnfResult:
     instead of moving entries.
     """
     m, n = a.rows, a.cols
-    s = [{j: x for j, x in enumerate(row) if x} for row in a.entries()]
+    s = [dict(row) for row in a._ent]
     u = [{i: 1} for i in range(m)]
     v = [{j: 1} for j in range(n)]  # V column of each column key of s
     order = list(range(n))  # column key at each position of S
@@ -511,8 +500,8 @@ def snf(a: IntMatrix) -> SnfResult:
                 if x:
                     q = x // p
                     if q:
-                        _sparse_addmul(s, i, k, -q)
-                        _sparse_addmul(u, i, k, -q)
+                        _addmul(s[i], srow, -q)
+                        _addmul(u[i], u[k], -q)
                     if pk in s[i]:
                         dirty = True
                         pivot_col.append(i)
@@ -528,7 +517,7 @@ def snf(a: IntMatrix) -> SnfResult:
                             row[j] = y
                         else:
                             row.pop(j, None)
-                    _sparse_addmul(v, j, pk, -q)
+                    _addmul(v[j], v[pk], -q)
                 if j in srow:
                     dirty = True
             if dirty:
@@ -543,15 +532,15 @@ def snf(a: IntMatrix) -> SnfResult:
                 offender = next((i for i in range(k + 1, m) if any(x % p for x in s[i].values())), None)
             if offender is None:
                 break
-            _sparse_addmul(s, k, offender, 1)
-            _sparse_addmul(u, k, offender, 1)
+            _addmul(s[k], s[offender], 1)
+            _addmul(u[k], u[offender], 1)
         if not best:
             break
 
     res = SnfResult(
-        IntMatrix._wrap(_dense_rows(u, m, range(m)), m, m),
-        IntMatrix._wrap(_dense_rows(s, n, place), m, n),
-        IntMatrix._from_columns(_dense_rows((v[j] for j in order), n, range(n)), n),
+        IntMatrix._wrap(u, m, m),
+        IntMatrix._wrap([{place[j]: x for j, x in row.items()} for row in s], m, n),
+        IntMatrix._wrap([v[j] for j in order], n, n).transpose(),
     )
     if res.u @ a @ res.v != res.s:
         raise InternalInvariantError("snf transform identity failed")
@@ -581,7 +570,8 @@ class Lattice:
         h, _ = hnf(basis)
         pivot_rows = _pivots(h)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", h.submatrix(range(ambient), range(len(pivot_rows))))
+        # the columns of H after the pivot columns are zero: no row has entries there
+        object.__setattr__(self, "basis", IntMatrix._wrap(h._ent, ambient, len(pivot_rows)))
         object.__setattr__(self, "_pivot_rows", pivot_rows)
 
     def __setattr__(self, name, value):
@@ -609,10 +599,17 @@ class Lattice:
 
     def coords(self, v: Sequence[int]) -> Optional[tuple[int, ...]]:
         """Integer coordinates of v in the canonical basis, or None."""
+        q, r = self._divmod(v)
+        return None if any(r) else tuple(q)
+
+    def reduce(self, v: Sequence[int]) -> tuple[int, ...]:
+        """Canonical representative of v modulo the lattice: in [0, pivot) at each pivot row."""
+        return tuple(self._divmod(v)[1])
+
+    def _divmod(self, v: Sequence[int]) -> tuple[list[int], list[int]]:
         if len(v) != self.ambient:
             raise PreconditionError("vector not in ambient space")
-        y = _hnf_coords(self.basis, self._pivot_rows, v)
-        return None if y is None else tuple(y)
+        return _hnf_divmod(self.basis, v)
 
     def member(self, v: Sequence[int]) -> bool:
         return self.coords(v) is not None
@@ -640,7 +637,7 @@ class Lattice:
     def _preimage_gens(self, mat: IntMatrix) -> IntMatrix:
         # w with mat w in self are the heads of the kernel of [mat | -basis]
         ker = _kernel_columns(IntMatrix.hstack(mat, -self.basis))
-        return ker.submatrix(range(mat.cols), range(ker.cols))
+        return IntMatrix._wrap(ker._ent[: mat.cols], mat.cols, ker.cols)
 
     def transform(self, m: IntMatrix) -> "Lattice":
         """Image lattice under the linear map m."""
@@ -683,15 +680,14 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     if a.rows != b.rows:
         raise PreconditionError("row count mismatch")
     h, u = hnf(a)
-    pivots = _pivots(h)
-    pad = [0] * (a.cols - len(pivots))
-    xcols = []
-    for jb in range(b.cols):
-        y = _hnf_coords(h, pivots, b.col(jb))
-        if y is None:
+    ycols = []
+    for c in b.columns():
+        y, r = _hnf_divmod(h, c)
+        if any(r):
             return None
-        xcols.append(u.apply(y + pad))
-    x = IntMatrix._from_columns(xcols, a.cols)
+        ycols.append({k: x for k, x in enumerate(y) if x})
+    # column j of Y holds the coordinates of B's column j on the pivot columns of H
+    x = u @ IntMatrix._wrap(ycols, b.cols, a.cols).transpose()
     if a @ x != b:
         raise InternalInvariantError("solve_columns verification failed")
     return x

@@ -29,6 +29,7 @@ from .zmod import CyclicR, DirectSum, FinMod, TrivCyclic, build, direct_sum
 
 GREEDY_ATTEMPTS = 6
 DEFAULT_K_MAX = 4
+_UNDECIDED = object()  # an EquivariantLattice's witness before its first search
 
 
 def _unit(n: int, i: int) -> tuple[int, ...]:
@@ -69,7 +70,7 @@ class EquivariantLattice:
     again.
     """
 
-    __slots__ = ("p", "lattice", "action", "provenance", "_restricted")
+    __slots__ = ("p", "lattice", "action", "provenance", "_restricted", "_witness")
 
     def __init__(self, p: int, lattice: Lattice, action: IntMatrix, provenance=None):
         n = lattice.ambient
@@ -86,6 +87,7 @@ class EquivariantLattice:
         self.action = action
         self.provenance = provenance
         self._restricted = restricted
+        self._witness = _UNDECIDED
 
     @property
     def rank(self) -> int:
@@ -108,8 +110,14 @@ class EquivariantLattice:
 
         Given in lattice coordinates.  The twist image always sits inside
         the norm kernel, so the two differ exactly when some basis vector
-        of the kernel falls outside.
+        of the kernel falls outside.  Searched on the first call and kept:
+        the lattice and its action never change.
         """
+        if self._witness is _UNDECIDED:
+            self._witness = self._search_witness()
+        return self._witness
+
+    def _search_witness(self) -> Optional[tuple[int, ...]]:
         c = self.restricted()
         r = c.rows
         twist = Lattice(r, c - IntMatrix.identity(r))

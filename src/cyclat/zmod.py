@@ -225,15 +225,7 @@ class FinMod:
         """Canonical representative of v modulo the relations."""
         if len(v) != self.r:
             raise PreconditionError("vector has the wrong length")
-        x = list(v)
-        basis = self.rel.basis
-        for k in range(self.rel.rank):
-            i = self.rel.pivot_rows[k]
-            q = x[i] // basis[i, k]
-            if q:
-                for ii in range(i, self.r):
-                    x[ii] -= q * basis[ii, k]
-        return tuple(x)
+        return self.rel.reduce(v)
 
     def enumerate(self) -> list[tuple[int, ...]]:
         """All canonical representatives, deterministic order, zero first."""

@@ -121,3 +121,20 @@ def test_graph_ktheory_reads_k1_off_the_smith_transform(monkeypatch, capsys):
     assert len(kernels) == 0
     # the canonical K1 basis, inv_unimodular for the K0 action, the K1 action solve
     assert len(hnfs) == 3
+
+
+def test_ring_identities_decomposes_p_once(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, cyclat.cyclo_ring, "decompose_prime")
+    assert run_cli(capsys, "ring-identities", "--p", "13") == 0
+    assert len(calls) == 1
+
+
+def test_basis_search_reuses_the_noncyclotomy_verdict(monkeypatch):
+    # the norm kernel is one kernel_basis; asking again, or searching for a
+    # basis afterwards, reads the witness kept on the lattice
+    eq = build_aug(build(parse_modspec("cyclicR(2,1)+triv(2)"), 3)).kernel_pair()
+    calls = count_calls(monkeypatch, cyclat.intlinalg, "kernel_basis")
+    assert eq.is_noncyclotomic()
+    k, _ = find_invariant_basis(eq)
+    assert k == 0
+    assert len(calls) == 1

@@ -220,6 +220,106 @@ class TestSparseProducts:
         assert IntMatrix.zeros(m, k).apply((0,) * k) == (0,) * m
 
 
+@st.composite
+def storage_operands(draw):
+    """product_operands' m x k rows a, a second m x k matrix cancelling part of
+    a, and row and column indices into them, reordered and repeated."""
+    (m, k, _), a, _ = draw(product_operands())
+    other = draw(entry_rows(m, k, draw(KINDS)))
+    cancel = draw(st.lists(st.booleans(), min_size=m * k, max_size=m * k))
+    b = [[-a[i][j] if cancel[i * k + j] else other[i][j] for j in range(k)] for i in range(m)]
+    row_idx = draw(st.lists(st.integers(0, m - 1), max_size=8)) if m else []
+    col_idx = draw(st.lists(st.integers(0, k - 1), max_size=8)) if k else []
+    return (m, k), a, b, row_idx, col_idx
+
+
+def transposed(rows, width):
+    return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(width)]
+
+
+class TestRowStorage:
+    """Every IntMatrix operation on {column: nonzero} rows against list arithmetic."""
+
+    @given(storage_operands(), st.integers(-3, 3))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_list_arithmetic(self, operands, c):
+        (m, k), a, b, row_idx, col_idx = operands
+        x, y = IntMatrix(a, shape=(m, k)), IntMatrix(b, shape=(m, k))
+        s = min(m, k)
+        sq = [row[:s] for row in a[:s]]
+        square = x.submatrix(range(s), range(s))
+        cases = [
+            (x + y, [[u + v for u, v in zip(r, t)] for r, t in zip(a, b)]),
+            (x - y, [[u - v for u, v in zip(r, t)] for r, t in zip(a, b)]),
+            (x + (-x), [[0] * k for _ in range(m)]),
+            (-x, [[-u for u in r] for r in a]),
+            (c * x, [[c * u for u in r] for r in a]),
+            (x * c, [[u * c for u in r] for r in a]),
+            (x.transpose(), transposed(a, k)),
+            (IntMatrix.hstack(x, y, x), [r + t + r for r, t in zip(a, b)]),
+            (IntMatrix.vstack(x, y), a + b),
+            (IntMatrix.block_diag(x, y), [r + [0] * k for r in a] + [[0] * k + t for t in b]),
+            (x.submatrix(row_idx, col_idx), [[a[i][j] for j in col_idx] for i in row_idx]),
+            (square, sq),
+        ]
+        power = [[int(i == j) for j in range(s)] for i in range(s)]
+        for e in range(4):
+            cases.append((square.pow(e), power))
+            power = textbook_product(power, sq, s)
+        for got, want in cases:
+            assert got.tolist() == want
+            assert (got.rows, got.cols) == (len(want), len(want[0]) if want else got.cols)
+            assert_public_form(got)
+        assert square.trace() == sum(sq[i][i] for i in range(s))
+        assert x.is_zero() == (not any(map(any, a)))
+        assert (x - x).is_zero() and IntMatrix.zeros(m, k).is_zero()
+        assert all(x[i, j] == a[i][j] for i in range(m) for j in range(k))
+        if m and k:
+            assert x[-1, -1] == a[-1][-1]
+        assert [x.row(i) for i in range(m)] == [tuple(r) for r in a]
+        assert [x.col(j) for j in range(k)] == [tuple(col) for col in transposed(a, k)]
+        assert x.columns() == [tuple(col) for col in transposed(a, k)]
+        assert x.entries() == tuple(map(tuple, a))
+        for v in b:
+            assert x.apply(v) == tuple(sum(u * w for u, w in zip(r, v)) for r in a)
+
+    @given(storage_operands())
+    @settings(max_examples=80, deadline=None)
+    def test_operands_are_never_changed(self, operands):
+        # results may share rows with their operands, so a kernel that
+        # updated a row in place would change the operand too
+        (m, k), a, b, row_idx, col_idx = operands
+        x, y = IntMatrix(a, shape=(m, k)), IntMatrix(b, shape=(m, k))
+        stacked = IntMatrix.vstack(x, y)
+        mats = (x, y, stacked)
+        before = [mat.entries() for mat in mats]
+        results = [
+            x + y, x - y, -x, 0 * x, 2 * x, x.transpose(), x.submatrix(row_idx, col_idx),
+            IntMatrix.hstack(x, y), IntMatrix.block_diag(x, y), stacked @ x.transpose(),
+            (stacked.transpose() @ stacked).pow(2),
+        ]
+        for mat in mats:
+            results += [*hnf(mat), snf(mat).s, Lattice(mat.rows, mat).basis]
+            results.append(solve_columns(mat, mat))
+        sol = solve_columns(x, y)
+        for r in results + ([] if sol is None else [sol]):
+            r + r - r
+            r @ r.transpose()
+        assert [mat.entries() for mat in mats] == before
+        assert x == IntMatrix(a, shape=(m, k)) and y == IntMatrix(b, shape=(m, k))
+
+    def test_out_of_range_index_raises(self):
+        x = IntMatrix([[1, 0, 2], [0, 0, 3]])
+        for bad in (
+            lambda: x[2, 0], lambda: x[0, 3], lambda: x[-3, 0], lambda: x[0, -4],
+            lambda: x.row(2), lambda: x.col(3), lambda: x.col(-4),
+            lambda: x.submatrix([2], [0]), lambda: x.submatrix([0], [3]),
+            lambda: IntMatrix.unit_columns(2, [0, 2]),
+        ):
+            with pytest.raises(IndexError):
+                bad()
+
+
 class TestXgcd:
     @pytest.mark.parametrize(
         "a,b",
@@ -416,7 +516,9 @@ def _dense_snf_reference(a: IntMatrix) -> SnfResult:
         if all(s[i][j] == 0 for i in range(k, m) for j in range(k, n)):
             break
 
-    res = SnfResult(IntMatrix._wrap(u, m, m), IntMatrix._wrap(s, m, n), IntMatrix._wrap(v, n, n))
+    res = SnfResult(
+        IntMatrix(u, shape=(m, m)), IntMatrix(s, shape=(m, n)), IntMatrix(v, shape=(n, n))
+    )
     if res.u @ a @ res.v != res.s:
         raise InternalInvariantError("snf transform identity failed")
     return res
@@ -548,7 +650,7 @@ def _dense_hnf_reference(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             if q:
                 col_addmul(j, piv, -q)
         piv += 1
-    return IntMatrix._from_columns(cols, m), IntMatrix._from_columns(ucols, n)
+    return IntMatrix.from_cols(cols, rows=m), IntMatrix.from_cols(ucols, rows=n)
 
 
 class TestHnfOracle:
