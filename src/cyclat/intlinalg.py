@@ -11,10 +11,11 @@ actions, unit-column embeddings, presentation kernels, gadget boundary
 matrices) have a few nonzero entries per row.  All updates go through the
 one ``_addmul(out, row, c)``, ``out += c * row``: ``+`` and ``-``, ``A @ B``
 (Gustavson's row-by-row product: row i of the result sums A[i, k] times
-row k of B), ``snf`` on the rows of S and U and the columns of V, and
-``hnf`` on the columns of A stacked on the identity, so one column
-operation builds H and U together.  Each costs in proportion to the
-nonzero entries it meets, not to the size of the matrix.
+row k of B), ``snf`` on the rows of S and U and the columns of V, and the
+Hermite elimination on A's columns: ``hnf`` stacks them on the identity so
+one column operation builds H and U together, while ``Lattice`` and
+``column_rank``, which read H alone, leave the identity out.  Each costs in
+proportion to the nonzero entries it meets, not to the size of the matrix.
 
 Conventions that the rest of the package leans on:
 
@@ -136,7 +137,8 @@ class IntMatrix:
             rows = len(columns[0])
         if any(len(c) != rows for c in columns):
             raise PreconditionError("ragged columns")
-        return cls(zip(*columns) if columns else ((),) * rows, shape=(rows, len(columns)))
+        cols = [{i: int(x) for i, x in enumerate(c) if x} for c in columns]
+        return cls._wrap(cols, len(cols), rows).transpose()
 
     @classmethod
     def hstack(cls, *mats: "IntMatrix") -> "IntMatrix":
@@ -339,17 +341,27 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     reduced into [0, pivot).  Trailing columns of H are zero.  H is the
     canonical basis matrix of the column span.
 
-    Pivot of row i: the smallest |entry| in the columns from the current
-    pivot on (ties: the first); the others are reduced by it until it is
-    alone.  Working column j is A's column j over the identity's: U below H.
+    The elimination runs on A's columns stacked on the identity's, so each
+    column operation builds U below H.
     """
     m, n = a.rows, a.cols
-    cols = [{m + j: 1} for j in range(n)]
-    for i, row in enumerate(a._ent):
-        for j, x in row.items():
-            cols[j][i] = x
-    piv = 0
+    cols = [{**col, m + j: 1} for j, col in enumerate(a.transpose()._ent)]
+    _hermite_columns(cols, m)
+    stacked = IntMatrix._wrap(cols, n, m + n).transpose()._ent
+    return IntMatrix._wrap(stacked[:m], m, n), IntMatrix._wrap(stacked[m:], n, n)
+
+
+def _hermite_columns(cols: list[dict[int, int]], m: int) -> list[int]:
+    """Column Hermite form of the columns {row: entry}, in place; returns the pivot rows.
+
+    Pivots only on rows < m; rows from m on just follow the column operations.
+    Pivot of row i: the smallest |entry| in the columns from the current pivot
+    on (ties: the first); the others are reduced by it until it is alone.
+    """
+    n = len(cols)
+    pivot_rows = []
     for i in range(m):
+        piv = len(pivot_rows)
         if piv == n:
             break
         live = [j for j in range(piv, n) if i in cols[j]]
@@ -374,23 +386,8 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             q = cols[j].get(i, 0) // p
             if q:
                 _addmul(cols[j], cols[piv], -q)
-        piv += 1
-    stacked = IntMatrix._wrap(cols, n, m + n).transpose()._ent
-    return IntMatrix._wrap(stacked[:m], m, n), IntMatrix._wrap(stacked[m:], n, n)
-
-
-def _pivots(h: IntMatrix) -> tuple[int, ...]:
-    """Pivot row of each nonzero column of a column Hermite form.
-
-    The nonzero columns come first and each is zero above its pivot, which
-    lies strictly below the previous one, so a row holds the pivot of the
-    next column exactly when it has an entry there.
-    """
-    out = []
-    for i, row in enumerate(h._ent):
-        if len(out) in row:
-            out.append(i)
-    return tuple(out)
+        pivot_rows.append(i)
+    return pivot_rows
 
 
 def _hnf_divmod(h: IntMatrix, v: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -418,11 +415,12 @@ def _hnf_divmod(h: IntMatrix, v: Sequence[int]) -> tuple[list[int], list[int]]:
 def _kernel_columns(a: IntMatrix) -> IntMatrix:
     """Columns of the HNF transform spanning the integer kernel of a (not reduced)."""
     h, u = hnf(a)
-    return u.submatrix(range(a.cols), range(len(_pivots(h)), a.cols))
+    rank = max((max(row) + 1 for row in h._ent if row), default=0)  # the nonzero columns lead
+    return u.submatrix(range(a.cols), range(rank, a.cols))
 
 
 def column_rank(a: IntMatrix) -> int:
-    return len(_pivots(hnf(a)[0]))
+    return len(_hermite_columns(list(a.transpose()._ent), a.rows))
 
 
 # -- Smith form ----------------------------------------------------------------
@@ -551,7 +549,7 @@ def snf(a: IntMatrix) -> SnfResult:
 
 
 class Lattice:
-    """A subgroup of Z^n, held as a canonical column-HNF basis.
+    """A subgroup of Z^n, held as a canonical column-HNF basis (H without U).
 
     Two Lattice objects in the same ambient compare equal iff they are the
     same subgroup, which is what lets the higher layers phrase statements
@@ -567,11 +565,12 @@ class Lattice:
             basis = IntMatrix.zeros(ambient, 0)
         if basis.rows != ambient:
             raise PreconditionError(f"basis has {basis.rows} rows in ambient Z^{ambient}")
-        h, _ = hnf(basis)
-        pivot_rows = _pivots(h)
+        # H without U, so no identity below the columns; H's zero columns are dropped
+        cols = list(basis.transpose()._ent)
+        pivot_rows = tuple(_hermite_columns(cols, ambient))
+        h_t = IntMatrix._wrap(cols[: len(pivot_rows)], len(pivot_rows), ambient)
         object.__setattr__(self, "ambient", ambient)
-        # the columns of H after the pivot columns are zero: no row has entries there
-        object.__setattr__(self, "basis", IntMatrix._wrap(h._ent, ambient, len(pivot_rows)))
+        object.__setattr__(self, "basis", h_t.transpose())
         object.__setattr__(self, "_pivot_rows", pivot_rows)
 
     def __setattr__(self, name, value):
@@ -676,18 +675,32 @@ def kernel_basis(a: IntMatrix) -> Lattice:
 
 
 def solve_columns(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
-    """Integral X with A @ X == B, or None if no integral solution exists."""
+    """Integral X with A @ X == B, or None if no integral solution exists.
+
+    X = U @ Y for H == A @ U, where one forward substitution down the rows of
+    H solves H @ Y == B for all of B's columns: row k of Y, {column of B:
+    value}, is an exact division at the k-th pivot row, and every other row
+    must leave B's row zero.
+    """
     if a.rows != b.rows:
         raise PreconditionError("row count mismatch")
     h, u = hnf(a)
-    ycols = []
-    for c in b.columns():
-        y, r = _hnf_divmod(h, c)
-        if any(r):
+    y = []
+    for hrow, brow in zip(h._ent, b._ent):
+        k = len(y)
+        rest = dict(brow)
+        for j, c in hrow.items():
+            if j != k:
+                _addmul(rest, y[j], -c)
+        if k in hrow:
+            p = hrow[k]
+            if any(x % p for x in rest.values()):
+                return None
+            y.append({col: x // p for col, x in rest.items()})
+        elif rest:
             return None
-        ycols.append({k: x for k, x in enumerate(y) if x})
-    # column j of Y holds the coordinates of B's column j on the pivot columns of H
-    x = u @ IntMatrix._wrap(ycols, b.cols, a.cols).transpose()
+    y += [{} for _ in range(a.cols - len(y))]
+    x = u @ IntMatrix._wrap(y, a.cols, b.cols)
     if a @ x != b:
         raise InternalInvariantError("solve_columns verification failed")
     return x

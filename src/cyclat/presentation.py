@@ -179,7 +179,7 @@ def build_aug(M: FinMod) -> AugPresentation:
         raise PreconditionError("only finite modules have a finite element basis")
     elements, pi = _element_basis(M)
     m = len(elements)
-    action = IntMatrix.unit_columns(m, [M.index_of(M.act(x)) for x in elements])
+    action = IntMatrix.unit_columns(m, M.action_permutation())
     n = M.rel.preimage(pi)
     if n.rank != m:
         raise InternalInvariantError("presentation kernel must have full rank")

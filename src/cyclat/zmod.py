@@ -177,7 +177,7 @@ class FinMod:
     be infinite (rel not of full rank); enumeration then refuses.
     """
 
-    __slots__ = ("p", "r", "rel", "aut", "shape", "_elems", "_index")
+    __slots__ = ("p", "r", "rel", "aut", "shape", "_elems", "_index", "_perm")
 
     def __init__(self, p: int, r: int, rel: Lattice, aut: IntMatrix, shape=None):
         if not is_prime(p):
@@ -198,6 +198,7 @@ class FinMod:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_elems", None)
         object.__setattr__(self, "_index", None)
+        object.__setattr__(self, "_perm", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FinMod is immutable")
@@ -250,25 +251,24 @@ class FinMod:
     def act(self, v: Sequence[int]) -> tuple[int, ...]:
         return self.reduce(self.aut.apply(v))
 
-    def orbit(self, v: Sequence[int]) -> list[tuple[int, ...]]:
-        start = self.reduce(v)
-        out = [start]
-        cur = self.act(start)
-        while cur != start:
-            out.append(cur)
-            cur = self.act(cur)
-        return out
+    def action_permutation(self) -> tuple[int, ...]:
+        """Index of the image of each element under the action, in enumeration order."""
+        if self._perm is None:
+            perm = tuple(self._index[self.act(e)] for e in self.enumerate())
+            object.__setattr__(self, "_perm", perm)
+        return self._perm
 
     def orbits(self) -> list[list[tuple[int, ...]]]:
         """Partition of the elements into action orbits (sizes 1 or p)."""
-        seen = set()
-        out = []
-        for e in self.enumerate():
-            if e in seen:
-                continue
-            orb = self.orbit(e)
-            seen.update(orb)
-            out.append(orb)
+        elems, perm = self.enumerate(), self.action_permutation()
+        seen, out = set(), []
+        for i in range(len(elems)):
+            if i not in seen:
+                orb = [i]
+                while perm[orb[-1]] != i:
+                    orb.append(perm[orb[-1]])
+                seen.update(orb)
+                out.append([elems[j] for j in orb])
         return out
 
     # -- distinguished operator lattices (all contain rel) -----------------

@@ -13,7 +13,7 @@ import pytest
 
 import cyclat
 from cyclat.cli import main
-from cyclat.intlinalg import Lattice
+from cyclat.intlinalg import IntMatrix, Lattice, column_rank, kernel_basis
 from cyclat.presentation import EquivariantLattice, build_aug, find_invariant_basis
 from cyclat.zmod import FinMod, build, parse_modspec
 
@@ -119,8 +119,21 @@ def test_graph_ktheory_reads_k1_off_the_smith_transform(monkeypatch, capsys):
     hnfs = count_calls(monkeypatch, cyclat.intlinalg, "hnf")
     assert run_cli(capsys, "graph", "ktheory", "--strand", "4", "--p", "3") == 0
     assert len(kernels) == 0
-    # the canonical K1 basis, inv_unimodular for the K0 action, the K1 action solve
-    assert len(hnfs) == 3
+    # inv_unimodular for the K0 action and the K1 action solve; the canonical
+    # K1 basis is a Lattice, which no longer goes through hnf
+    assert len(hnfs) == 2
+
+
+def test_lattice_bases_do_not_build_the_hnf_transform(monkeypatch):
+    # Lattice and column_rank read H alone, so only the kernel's U calls hnf
+    a = IntMatrix([[2, 4, 1, 0], [0, 6, 3, 3], [1, 1, 1, 1]])
+    calls = count_calls(monkeypatch, cyclat.intlinalg, "hnf")
+    assert Lattice.full(5).rank == 5
+    assert Lattice(3, a).rank == 3
+    assert column_rank(a) == 3
+    assert len(calls) == 0
+    assert kernel_basis(a).rank == 1
+    assert len(calls) == 1
 
 
 def test_ring_identities_decomposes_p_once(monkeypatch, capsys):

@@ -24,6 +24,7 @@ from cyclat.intlinalg import (
     solve_columns,
     xgcd,
 )
+from cyclat.intlinalg import _hnf_divmod
 from cyclat.ktheory import boundary_matrix
 from cyclat.presentation import build_aug
 from cyclat.zmod import build, parse_modspec, random_unimodular
@@ -307,6 +308,28 @@ class TestRowStorage:
             r @ r.transpose()
         assert [mat.entries() for mat in mats] == before
         assert x == IntMatrix(a, shape=(m, k)) and y == IntMatrix(b, shape=(m, k))
+
+    @given(storage_operands())
+    @settings(max_examples=80, deadline=None)
+    def test_from_cols_matches_the_constructor(self, operands):
+        # a holds m columns of length k
+        (m, k), a, _, _, _ = operands
+        got = IntMatrix.from_cols(a, rows=k)
+        assert got == IntMatrix(transposed(a, k), shape=(k, m))
+        assert_public_form(got)
+        if m:
+            assert IntMatrix.from_cols(a) == got
+            with pytest.raises(PreconditionError):
+                IntMatrix.from_cols(a, rows=k + 1)
+            with pytest.raises(PreconditionError):
+                IntMatrix.from_cols(a + [a[0] + [1]])
+
+    def test_from_cols_coerces_to_int(self):
+        got = IntMatrix.from_cols([(True, 0, -2), (0, False, 3)])
+        assert got == IntMatrix([[1, 0], [0, 0], [-2, 3]])
+        assert_public_form(got)
+        with pytest.raises(PreconditionError):
+            IntMatrix.from_cols([])
 
     def test_out_of_range_index_raises(self):
         x = IntMatrix([[1, 0, 2], [0, 0, 3]])
@@ -701,6 +724,72 @@ class TestHnfOracle:
         # H depends on the column span only, not on the generators
         w = random_unimodular(random.Random(seed), a.cols)
         assert hnf(a @ w)[0] == hnf(a)[0]
+
+
+def _columnwise_solve_reference(a: IntMatrix, b: IntMatrix):
+    """solve_columns as one _hnf_divmod per column of B, which the one forward
+    substitution replaced; the same X or the same None."""
+    if a.rows != b.rows:
+        raise PreconditionError("row count mismatch")
+    h, u = hnf(a)
+    ycols = []
+    for c in b.columns():
+        y, r = _hnf_divmod(h, c)
+        if any(r):
+            return None
+        ycols.append({k: x for k, x in enumerate(y) if x})
+    # column j of Y holds the coordinates of B's column j on the pivot columns of H
+    x = u @ IntMatrix._wrap(ycols, b.cols, a.cols).transpose()
+    if a @ x != b:
+        raise InternalInvariantError("solve_columns verification failed")
+    return x
+
+
+@st.composite
+def solve_inputs(draw, solvable):
+    """(A, B): A from snf_inputs and B == A @ X0 for a drawn X0, followed by
+    one to three drawn columns unless solvable."""
+    a = draw(snf_inputs(max_dim=7))
+    kind = draw(st.sampled_from(["dense", "mostly zero", "unit columns"]))
+    k = draw(st.integers(0, 4))
+    b = a @ IntMatrix(draw(entry_rows(a.cols, k, kind, bound=50)), shape=(a.cols, k))
+    if not solvable:
+        k = draw(st.integers(1, 3))
+        b = IntMatrix.hstack(b, IntMatrix(draw(entry_rows(a.rows, k, kind, bound=6)), shape=(a.rows, k)))
+    return a, b
+
+
+class TestSolveOracle:
+    """The one-pass solve returns exactly what the column-by-column solve did."""
+
+    @given(solve_inputs(solvable=True))
+    @settings(max_examples=200, deadline=None)
+    def test_solvable_right_hand_sides(self, ab):
+        a, b = ab
+        got = solve_columns(a, b)
+        assert got is not None and got == _columnwise_solve_reference(a, b)
+        assert a @ got == b
+        assert_public_form(got)
+
+    @given(solve_inputs(solvable=False))
+    @settings(max_examples=300, deadline=None)
+    def test_random_right_hand_sides(self, ab):
+        a, b = ab
+        got = solve_columns(a, b)
+        assert got == _columnwise_solve_reference(a, b)
+        if got is not None:
+            assert_public_form(got)
+
+    @given(snf_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_lattice_basis_is_the_dense_hnf(self, a):
+        h = _dense_hnf_reference(a)[0]
+        rank = sum(1 for c in h.columns() if any(c))
+        lat = Lattice(a.rows, a)
+        assert lat.basis == h.submatrix(range(a.rows), range(rank))
+        assert_public_form(lat.basis)
+        assert lat.pivot_rows == tuple(next(i for i in range(a.rows) if h[i, j]) for j in range(rank))
+        assert column_rank(a) == rank
 
 
 class TestSolveAndInverse:
