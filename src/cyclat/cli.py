@@ -56,7 +56,7 @@ from .lattice_props import (
     inclusion_diagram,
 )
 from .presentation import build_aug, find_invariant_basis
-from .zmod import FinMod, Submodule, build, parse_modspec
+from .zmod import FinMod, build, parse_modspec
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -88,7 +88,11 @@ class WorkbenchConfig:
 
 
 class Report:
-    """Collects one command's output in both text and structured form."""
+    """Collects one command's output in both text and structured form.
+
+    Each cmd_* handler returns its Report with the exit code, and main
+    emits it in the format the invocation asked for.
+    """
 
     def __init__(self, command: str) -> None:
         self.lines: list[str] = []
@@ -142,7 +146,7 @@ def _matrix_json(m: IntMatrix) -> list:
 # ring-identities
 
 
-def cmd_ring_identities(cfg: WorkbenchConfig, args) -> int:
+def cmd_ring_identities(cfg: WorkbenchConfig, args) -> tuple[Report, int]:
     ids = decompose_prime(cfg.p)
     rep = Report("ring-identities")
     rep.say(f"p = {cfg.p}")
@@ -159,18 +163,11 @@ def cmd_ring_identities(cfg: WorkbenchConfig, args) -> int:
     rep.put("norm_coeff", list(ids.norm_coeff.coeffs))
     rep.put("substitution_steps", len(ids.steps))
     rep.put("power_identities_ok", ok)
-    rep.emit(cfg)
-    return EXIT_OK if ok else EXIT_FALSE
+    return rep, EXIT_OK if ok else EXIT_FALSE
 
 
 # ---------------------------------------------------------------------------
 # module
-
-
-def _build_module(cfg: WorkbenchConfig, raw_spec: str) -> FinMod:
-    text = _read_spec_arg(raw_spec)
-    shape = parse_modspec(text)
-    return build(shape, cfg.p)
 
 
 def _orbit_summary(m: FinMod) -> tuple[int, int]:
@@ -179,16 +176,16 @@ def _orbit_summary(m: FinMod) -> tuple[int, int]:
     return len(orbits) - fixed, fixed
 
 
-def cmd_module(cfg: WorkbenchConfig, args) -> int:
-    m = _build_module(cfg, args.spec)
+def cmd_module(cfg: WorkbenchConfig, args) -> tuple[Report, int]:
+    m = build(parse_modspec(args.spec), cfg.p)
     rep = Report(f"module-{args.action}")
     rep.put("p", cfg.p)
-    rep.put("spec", _read_spec_arg(args.spec))
+    rep.put("spec", args.spec)
 
     if args.action == "build":
         inv = m.invariants()
         free, fixed = _orbit_summary(m)
-        rep.say(f"module: {_read_spec_arg(args.spec)} over p = {cfg.p}")
+        rep.say(f"module: {args.spec} over p = {cfg.p}")
         rep.say(f"structure: {m.describe()}")
         rep.say(f"order: {m.order()}")
         rep.say(f"element orbits: {free} free, {fixed} fixed")
@@ -197,14 +194,13 @@ def cmd_module(cfg: WorkbenchConfig, args) -> int:
         rep.put("invariants", _invariants_json(inv))
         rep.put("orbits_free", free)
         rep.put("orbits_fixed", fixed)
-        rep.emit(cfg)
-        return EXIT_OK
+        return rep, EXIT_OK
 
     pres = build_aug(m)
     eq = pres.kernel_pair()
 
     if args.action == "present":
-        rep.say(f"presentation of {_read_spec_arg(args.spec)} over p = {cfg.p}")
+        rep.say(f"presentation of {args.spec} over p = {cfg.p}")
         rep.say(f"elements: {pres.size}")
         rep.say(f"kernel rank: {eq.rank}")
         ok = eq.is_noncyclotomic()
@@ -212,14 +208,13 @@ def cmd_module(cfg: WorkbenchConfig, args) -> int:
         rep.put("elements", pres.size)
         rep.put("kernel_rank", eq.rank)
         rep.put("noncyclotomic", ok)
-        rep.emit(cfg)
-        return EXIT_OK
+        return rep, EXIT_OK
 
     if args.action == "invariant-basis":
         k, basis = find_invariant_basis(
             eq, allow_stabilization=True, k_max=cfg.kmax, seed=cfg.seed
         )
-        rep.say(f"invariant basis for {_read_spec_arg(args.spec)} over p = {cfg.p}")
+        rep.say(f"invariant basis for {args.spec} over p = {cfg.p}")
         rep.say(f"stabilization steps: {k}")
         rep.say(f"rank: {basis.rank}")
         rep.say(f"summary: {basis.summary()}")
@@ -233,8 +228,7 @@ def cmd_module(cfg: WorkbenchConfig, args) -> int:
         rep.put("summary", basis.summary())
         rep.put("orbit_blocks", [[list(v) for v in b] for b in basis.orbit_blocks])
         rep.put("fixed_vectors", [list(v) for v in basis.fixed_vectors])
-        rep.emit(cfg)
-        return EXIT_OK
+        return rep, EXIT_OK
 
     if args.action == "check-noncyc":
         coords = eq.noncyclotomic_witness()
@@ -247,8 +241,7 @@ def cmd_module(cfg: WorkbenchConfig, args) -> int:
             rep.say(f"witness in ambient coordinates: {_vec_text(ambient)}")
             rep.put("witness_coords", list(coords))
             rep.put("witness_ambient", list(ambient))
-        rep.emit(cfg)
-        return EXIT_OK if ok else EXIT_FALSE
+        return rep, EXIT_OK if ok else EXIT_FALSE
 
     raise ParseError(f"unknown module action {args.action!r}")
 
@@ -278,7 +271,7 @@ def _parse_gens(raw: str, width: int) -> list[tuple[int, ...]]:
 
 
 def _build_pair(cfg: WorkbenchConfig, args) -> InclusionPair:
-    m = _build_module(cfg, args.spec)
+    m = build(parse_modspec(args.spec), cfg.p)
     if args.sub == "t":
         span = m.t_image()
     elif args.sub == "full":
@@ -288,23 +281,19 @@ def _build_pair(cfg: WorkbenchConfig, args) -> InclusionPair:
     elif args.sub == "gens":
         if not args.gens:
             raise ParseError("--sub gens requires --gens")
-        span = m.submodule_generated(_parse_gens(args.gens, m.r))
+        span = m.invariant_span(_parse_gens(args.gens, m.r))
     else:
         raise ParseError(f"unknown submodule selector {args.sub!r}")
-    if isinstance(span, Lattice):
-        sub = m.submodule_from_lattice(span)
-    else:
-        sub = span
-    return InclusionPair(m, sub)
+    return InclusionPair(m, m.submodule_from_lattice(span))
 
 
-def cmd_inclusion(cfg: WorkbenchConfig, args) -> int:
+def cmd_inclusion(cfg: WorkbenchConfig, args) -> tuple[Report, int]:
     pair = _build_pair(cfg, args)
     rep = Report(f"inclusion-{args.action}")
     rep.put("p", cfg.p)
-    rep.put("spec", _read_spec_arg(args.spec))
+    rep.put("spec", args.spec)
     rep.put("sub", args.sub)
-    rep.say(f"module: {_read_spec_arg(args.spec)} over p = {cfg.p}")
+    rep.say(f"module: {args.spec} over p = {cfg.p}")
     rep.say(f"submodule: {args.sub} (index {pair.sub.module.order()} of {pair.M.order()})")
 
     if args.action == "check":
@@ -320,8 +309,7 @@ def cmd_inclusion(cfg: WorkbenchConfig, args) -> int:
             rep.say(f"impurity witness lam: {verdict.lam}")
             rep.put("witness_xi", list(verdict.xi))
             rep.put("witness_lam", list(verdict.lam.coeffs))
-        rep.emit(cfg)
-        return EXIT_OK if cond else EXIT_FALSE
+        return rep, EXIT_OK if cond else EXIT_FALSE
 
     if args.action == "witness":
         verdict = find_impurity_witness(pair)
@@ -330,15 +318,13 @@ def cmd_inclusion(cfg: WorkbenchConfig, args) -> int:
             rep.say("no impurity witness exists")
             rep.put("twist_condition", True)
             rep.put("witness", None)
-            rep.emit(cfg)
-            return EXIT_OK
+            return rep, EXIT_OK
         rep.say("twist condition: false")
         rep.say(f"impurity witness xi: {_vec_text(verdict.xi)}")
         rep.say(f"impurity witness lam: {verdict.lam}")
         rep.put("twist_condition", False)
         rep.put("witness", {"xi": list(verdict.xi), "lam": list(verdict.lam.coeffs)})
-        rep.emit(cfg)
-        return EXIT_FALSE
+        return rep, EXIT_FALSE
 
     if args.action == "diagram":
         report = inclusion_diagram(pair, k_max=cfg.kmax, seed=cfg.seed)
@@ -355,8 +341,7 @@ def cmd_inclusion(cfg: WorkbenchConfig, args) -> int:
                         "lam": list(report.impurity.lam.coeffs),
                     },
                 )
-            rep.emit(cfg)
-            return EXIT_FALSE
+            return rep, EXIT_FALSE
         diagram = report.diagram
         rep.say("twist condition: true")
         rep.say(
@@ -372,8 +357,7 @@ def cmd_inclusion(cfg: WorkbenchConfig, args) -> int:
         )
         rep.put("column_map", _matrix_json(diagram.column_map))
         rep.put("kernel_projection", _matrix_json(diagram.kernel_projection))
-        rep.emit(cfg)
-        return EXIT_OK
+        return rep, EXIT_OK
 
     raise ParseError(f"unknown inclusion action {args.action!r}")
 
@@ -462,7 +446,7 @@ def _describe_k(kr) -> str:
     return f"K = ({kr.invariants.describe()}, {k1.describe()})"
 
 
-def cmd_graph(cfg: WorkbenchConfig, args) -> int:
+def cmd_graph(cfg: WorkbenchConfig, args) -> tuple[Report, int]:
     graph, spec = _load_graph(args, _largest_depth(cfg, args.action))
     rep = Report(f"graph-{args.action}")
 
@@ -490,8 +474,7 @@ def cmd_graph(cfg: WorkbenchConfig, args) -> int:
         )
         rep.put("automorphism_order", aut.order)
         rep.put("irreducible", irreducible)
-        rep.emit(cfg)
-        return EXIT_OK
+        return rep, EXIT_OK
 
     if args.action == "ktheory":
         kr = compute_k(graph, cfg.depth)
@@ -511,8 +494,7 @@ def cmd_graph(cfg: WorkbenchConfig, args) -> int:
         )
         rep.put("induced_k0", _matrix_json(kr.induced_k0))
         rep.put("induced_k1", _matrix_json(kr.induced_k1))
-        rep.emit(cfg)
-        return EXIT_OK
+        return rep, EXIT_OK
 
     if args.action == "verify":
         if spec is None:
@@ -539,8 +521,7 @@ def cmd_graph(cfg: WorkbenchConfig, args) -> int:
             ],
         )
         rep.put("verified", result.passed)
-        rep.emit(cfg)
-        return EXIT_OK if result.passed else EXIT_FALSE
+        return rep, EXIT_OK if result.passed else EXIT_FALSE
 
     if args.action == "stability":
         tr = stabilization_check(graph, _stability_depths(cfg))
@@ -552,18 +533,15 @@ def cmd_graph(cfg: WorkbenchConfig, args) -> int:
         rep.put("k0_by_depth", [_invariants_json(i) for i in tr.invariants])
         rep.put("k1_ranks", list(tr.k1_ranks))
         rep.put("stable", tr.stable)
-        rep.emit(cfg)
-        return EXIT_OK if tr.stable else EXIT_FALSE
+        return rep, EXIT_OK if tr.stable else EXIT_FALSE
 
     if args.action == "dot":
         text = to_dot(graph, cfg.depth)
-        if cfg.fmt == "structured":
-            rep.put("depth", cfg.depth)
-            rep.put("dot", text)
-            rep.emit(cfg)
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
+        for line in text[:-1].split("\n"):  # to_dot ends every line with a newline
+            rep.say(line)
+        rep.put("depth", cfg.depth)
+        rep.put("dot", text)
+        return rep, EXIT_OK
 
     raise ParseError(f"unknown graph action {args.action!r}")
 
@@ -644,7 +622,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             p=2 if args.p is None else args.p,
             depth=args.depth, seed=args.seed, kmax=args.kmax, fmt=args.fmt,
         )
-        return _HANDLERS[args.group](cfg, args)
+        if "spec" in args:
+            args.spec = _read_spec_arg(args.spec)  # read an @FILE once per run
+        rep, code = _HANDLERS[args.group](cfg, args)
+        rep.emit(cfg)
+        return code
     except ParseError as exc:
         sys.stderr.write(f"cyclat: usage error: {exc}\n")
         return EXIT_USAGE

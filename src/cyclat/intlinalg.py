@@ -315,21 +315,6 @@ class IntMatrix:
         return f"IntMatrix([{body}])"
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with g = a*x + b*y and g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 # -- Hermite form --------------------------------------------------------------
 
 

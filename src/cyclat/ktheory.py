@@ -141,11 +141,7 @@ class KResult:
         return tuple(x % d if d else x for x, d in zip(vec, self.coord_orders))
 
     def reduce_matrix(self, m: IntMatrix) -> IntMatrix:
-        rows = [
-            [x % d if d else x for x in m.row(i)]
-            for i, d in zip(range(m.rows), self.coord_orders)
-        ]
-        return IntMatrix(rows, shape=(m.rows, m.cols))
+        return IntMatrix.from_cols([self.reduce_class(c) for c in m.columns()], rows=m.rows)
 
     def class_of(self, name: str) -> tuple[int, ...]:
         """K0 coordinates of a window vertex's class."""

@@ -212,12 +212,8 @@ def find_impurity_witness(pair: InclusionPair) -> Optional[PurityVerdict]:
     for z in M.enumerate():
         tz = M.reduce(M.twist_matrix.apply(z))
         if pair.sub.span.member(tz) and not pair.t_m0.member(tz):
-            m = pair.pres.size
-            xi = [0] * m
-            xi[pair.pres.index(tz)] += 1
-            xi[pair.pres.index(M.act(z))] -= 1
-            xi[pair.pres.index(z)] += 1
-            return _verify_impure(pair, tuple(xi), norm(pair.p))
+            xi = pair.pres.combination([(tz, 1), (M.act(z), -1), (z, 1)])
+            return _verify_impure(pair, xi, norm(pair.p))
     raise InternalInvariantError("failed twist condition must expose a witness")
 
 

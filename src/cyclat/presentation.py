@@ -36,6 +36,14 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
+def _vector(n: int, terms) -> tuple[int, ...]:
+    """The length-n vector sum c e_i over the pairs (i, c) in terms; repeated i add up."""
+    v = [0] * n
+    for i, c in terms:
+        v[i] += c
+    return tuple(v)
+
+
 def _split_orbits(orbits, vec):
     """Fixed vectors and orbit blocks of vec over element orbits of size 1 and p."""
     fixed, blocks = [], []
@@ -169,6 +177,10 @@ class AugPresentation:
     def zero_index(self) -> int:
         return self.index((0,) * self.M.r)
 
+    def combination(self, terms) -> tuple[int, ...]:
+        """The vector sum c x-hat over the pairs (x, c) in terms; x any vector of M."""
+        return _vector(self.size, [(self.index(x), c) for x, c in terms])
+
     def kernel_pair(self) -> EquivariantLattice:
         return self.kernel
 
@@ -277,58 +289,35 @@ def _check_assembly_convention(basis: InvariantBasis, pres: AugPresentation) -> 
 
 def cyclic_trivial_basis(n: int, p: int) -> InvariantBasis:
     """Kernel basis for Z/n with trivial action."""
-    return _trivial_basis(build_aug(build(TrivCyclic(n), p)))
-
-
-def _trivial_basis(pres: AugPresentation) -> InvariantBasis:
-    """Kernel basis of the presentation of Z/n with trivial action.
-
-    {0-hat} plus {x-hat - x 1-hat : 2 <= x < n} plus {n 1-hat}; every
-    vector is fixed.
-    """
-    n = m = pres.size
-    fixed = [_unit(m, pres.index((0,)))]
-    one = pres.index((1,)) if n > 1 else None
-    for x in range(2, n):
-        v = [0] * m
-        v[pres.index((x,))] += 1
-        v[one] -= x
-        fixed.append(tuple(v))
-    if n > 1:
-        fixed.append(tuple(n if i == one else 0 for i in range(m)))
-    return InvariantBasis(pres.M.p, pres.action, pres.N, [], fixed)
+    return _leaf_basis(build_aug(build(TrivCyclic(n), p)))
 
 
 def cyclic_r_basis(q: int, k: int, p: int) -> InvariantBasis:
     """Kernel basis for the rank-one quotient R/(q^k)."""
-    return _cyclic_r_basis(build_aug(build(CyclicR(q, k), p)))
+    return _leaf_basis(build_aug(build(CyclicR(q, k), p)))
 
 
-def _cyclic_r_basis(pres: AugPresentation) -> InvariantBasis:
-    """Kernel basis of the presentation of R/(q^k).
+def _leaf_basis(pres: AugPresentation) -> InvariantBasis:
+    """Kernel basis of the presentation of a leaf, Z/n or R/(q^k).
 
-    One free orbit {q^k e_i-hat} plus, for every element x outside the
-    generator orbit, xi_x = x-hat - sum x_i e_i-hat.  The action sends
-    xi_x to xi of the shifted element, so the xi split into orbits and
-    fixed vectors along the element orbits.
+    The leaf is Z^r / d Z^r with generators g_i = e_i reduced: one for Z/n
+    (d = n; for Z/1 it is 0), the p shifts for R/(q^k) (d = q^k).  First
+    xi_x = x-hat - sum x_i g_i-hat for every element x outside the
+    generators, split into orbits and fixed vectors along the element
+    orbits (xi_0 = 0-hat comes first); then d g_i-hat, one fixed vector
+    for Z/n and one free orbit for R/(q^k).
     """
-    p, shape = pres.M.p, pres.M.shape
-    m = pres.size
-    gen_idx = [pres.index(_unit(p, i)) for i in range(p)]
-    gens = {tuple(_unit(p, i)) for i in range(p)}
+    M, m = pres.M, pres.size
+    gens = [M.reduce(_unit(M.r, i)) for i in range(M.r)]
+    gen_idx = [pres.index(g) for g in gens]
+    d = M.rel.basis[0, 0]
 
     def xi(x: tuple[int, ...]) -> tuple[int, ...]:
-        v = [0] * m
-        v[pres.index(x)] += 1
-        for i, c in enumerate(x):
-            v[gen_idx[i]] -= c
-        return tuple(v)
+        return _vector(m, [(pres.index(x), 1)] + [(g, -c) for g, c in zip(gen_idx, x)])
 
-    fixed, blocks = _split_orbits((o for o in pres.M.orbits() if o[0] not in gens), xi)
-    qk = shape.q ** shape.k
-    blocks.append(tuple(tuple(qk if j == gen_idx[i] else 0 for j in range(m)) for i in range(p)))
-    # xi_0 is 0-hat and lands first because enumerate() lists 0 first
-    return InvariantBasis(p, pres.action, pres.N, blocks, fixed)
+    fixed, blocks = _split_orbits((o for o in M.orbits() if o[0] not in gens), xi)
+    gen_fixed, gen_blocks = _split_orbits([gen_idx], lambda i: _vector(m, [(i, d)]))
+    return InvariantBasis(M.p, pres.action, pres.N, blocks + gen_blocks, fixed + gen_fixed)
 
 
 def free_r_xi_window(p: int, xs: Sequence[Sequence[int]]):
@@ -351,13 +340,7 @@ def free_r_xi_window(p: int, xs: Sequence[Sequence[int]]):
         seen.add(x)
     window = gens + xs
     pos = {x: i for i, x in enumerate(window)}
-    cols = []
-    for x in xs:
-        v = [0] * len(window)
-        v[pos[x]] += 1
-        for i, c in enumerate(x):
-            v[i] -= c
-        cols.append(tuple(v))
+    cols = [_vector(len(window), [(pos[x], 1)] + [(i, -c) for i, c in enumerate(x)]) for x in xs]
     mat = IntMatrix.from_cols(cols, rows=len(window))
     if column_rank(mat) != len(cols):
         raise InternalInvariantError("window vectors must be independent")
@@ -416,11 +399,7 @@ def _assemble(
     blocks += [tuple(e2.apply(v) for v in blk) for blk in b2.orbit_blocks]
 
     def xi(x):
-        v = [0] * m
-        v[psum.index(x)] += 1
-        v[left(x[:r1])] -= 1
-        v[right(x[r1:])] -= 1
-        return tuple(v)
+        return _vector(m, [(psum.index(x), 1), (left(x[:r1]), -1), (right(x[r1:]), -1)])
 
     crossing = (o for o in msum.orbits() if any(o[0][:r1]) and any(o[0][r1:]))
     cross_fixed, cross_blocks = _split_orbits(crossing, xi)
@@ -435,12 +414,9 @@ def _shape_basis(shape, p: int, whole: Optional[AugPresentation] = None):
     `whole` may present the module of the whole tree; it is used in place
     of presenting that module again (see _present).
     """
-    if isinstance(shape, TrivCyclic):
+    if isinstance(shape, (TrivCyclic, CyclicR)):
         pres = _present(build(shape, p), whole)
-        return pres, _trivial_basis(pres)
-    if isinstance(shape, CyclicR):
-        pres = _present(build(shape, p), whole)
-        return pres, _cyclic_r_basis(pres)
+        return pres, _leaf_basis(pres)
     if isinstance(shape, DirectSum):
         pres, basis = _shape_basis(shape.parts[0], p)
         for i, part in enumerate(shape.parts[1:], 2):

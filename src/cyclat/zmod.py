@@ -86,8 +86,6 @@ class DirectSum:
         return " + ".join(str(p) for p in self.parts)
 
 
-ModSpec = object  # union of the five shapes above; kept loose on purpose
-
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([+(),])|(\S))")
 
 
@@ -217,8 +215,7 @@ class FinMod:
         return quotient_invariants(self.r, self.rel)
 
     def is_trivial_action(self) -> bool:
-        d = self.aut - IntMatrix.identity(self.r)
-        return all(self.rel.member(d.col(j)) for j in range(self.r))
+        return all(self.rel.member(c) for c in self.twist_matrix.columns())
 
     # -- elements ------------------------------------------------------------
 

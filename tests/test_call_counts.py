@@ -136,6 +136,22 @@ def test_lattice_bases_do_not_build_the_hnf_transform(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv,spec,rc",
+    [
+        (("module", "invariant-basis"), "cyclicR(2,1)+triv(2)", 0),
+        (("inclusion", "check"), "cyclicR(2,2)", 1),
+    ],
+)
+def test_spec_file_is_read_once(monkeypatch, capsys, tmp_path, argv, spec, rc):
+    # the module built and the spec printed come from one read of the file
+    path = tmp_path / "spec.txt"
+    path.write_text(spec + "\n", encoding="utf-8")
+    calls = count_calls(monkeypatch, cyclat.cli, "_read_spec_arg")
+    assert run_cli(capsys, *argv, f"@{path}", "--p", "2") == rc
+    assert len(calls) == 1
+
+
 def test_ring_identities_decomposes_p_once(monkeypatch, capsys):
     calls = count_calls(monkeypatch, cyclat.cyclo_ring, "decompose_prime")
     assert run_cli(capsys, "ring-identities", "--p", "13") == 0

@@ -10,7 +10,7 @@ import pytest
 
 import cyclat
 from cyclat.cli import main
-from cyclat.graphkit import build_group_graph, to_dot
+from cyclat.graphkit import build_group_graph, build_strand_graph, to_dot
 
 from groupspecs import z2_degenerate
 
@@ -475,6 +475,15 @@ def test_graph_dot_cli(capsys):
     assert rc == 0
     assert out.startswith("digraph gadget {")
     assert out.endswith("}\n")
+
+
+def test_graph_dot_text_and_structured_carry_to_dot(capsys):
+    want = to_dot(build_strand_graph(3), 2)
+    argv = ("graph", "dot", "--strand", "3", "--depth", "2")
+    assert run_cli(capsys, *argv) == (0, want, "")
+    rc, out, err = run_cli(capsys, *argv, "--format", "structured")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["dot"] == want
 
 
 def test_group_graph_dot_depth_one_golden():

@@ -22,7 +22,6 @@ from cyclat.intlinalg import (
     quotient_invariants,
     snf,
     solve_columns,
-    xgcd,
 )
 from cyclat.intlinalg import _hnf_divmod
 from cyclat.ktheory import boundary_matrix
@@ -341,19 +340,6 @@ class TestRowStorage:
         ):
             with pytest.raises(IndexError):
                 bad()
-
-
-class TestXgcd:
-    @pytest.mark.parametrize(
-        "a,b",
-        [(12, 18), (-12, 18), (0, 5), (5, 0), (0, 0), (17, 1), (-4, -6), (240, 46)],
-    )
-    def test_bezout(self, a, b):
-        g, x, y = xgcd(a, b)
-        assert g == a * x + b * y
-        assert g >= 0
-        if a or b:
-            assert a % g == 0 and b % g == 0
 
 
 class TestHnf:
