@@ -14,8 +14,9 @@ one ``_addmul(out, row, c)``, ``out += c * row``: ``+`` and ``-``, ``A @ B``
 row k of B), ``snf`` on the rows of S and U and the columns of V, and the
 Hermite elimination on A's columns: ``hnf`` stacks them on the identity so
 one column operation builds H and U together, while ``Lattice`` and
-``column_rank``, which read H alone, leave the identity out.  Each costs in
-proportion to the nonzero entries it meets, not to the size of the matrix.
+``column_rank``, which read H alone, leave the identity out; U serves only
+``solve_columns`` and ``inv_unimodular``.  Each costs in proportion to the
+nonzero entries it meets, not to the size of the matrix.
 
 Conventions that the rest of the package leans on:
 
@@ -30,13 +31,14 @@ Conventions that the rest of the package leans on:
   order; the transforms U and V, and with them the K0 coordinates of the
   graph layer, depend on this rule and on the order of the row and column
   operations that follow it, so both are fixed.
-* ``Lattice.preimage`` is the one home of ``{w : A w in L}``: fixed
-  submodules, norm kernels, presentation kernels, group relations and
-  lattice intersections are all preimages.
+* ``Lattice.preimage`` is the one home of ``{w : A w in L}``, read off a
+  single stacked elimination: fixed submodules, norm kernels, presentation
+  kernels, group relations, ``kernel_basis`` and ``Lattice.intersect``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -397,11 +399,39 @@ def _hnf_divmod(h: IntMatrix, v: Sequence[int]) -> tuple[list[int], list[int]]:
     return q, r
 
 
-def _kernel_columns(a: IntMatrix) -> IntMatrix:
-    """Columns of the HNF transform spanning the integer kernel of a (not reduced)."""
-    h, u = hnf(a)
-    rank = max((max(row) + 1 for row in h._ent if row), default=0)  # the nonzero columns lead
-    return u.submatrix(range(a.cols), range(rank, a.cols))
+def _hermite_solve(h: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
+    """Y with H @ Y == B for a column Hermite form H, or None.
+
+    One forward substitution down the rows of H for all of B's columns: row k
+    of Y, {column of B: value}, is an exact division at the k-th pivot row,
+    and every other row must leave B's row zero.
+    """
+    y = []
+    for hrow, brow in zip(h._ent, b._ent):
+        k = len(y)
+        rest = dict(brow)
+        for j, c in hrow.items():
+            if j != k:
+                _addmul(rest, y[j], -c)
+        if k in hrow:
+            p = hrow[k]
+            if any(x % p for x in rest.values()):
+                return None
+            y.append({col: x // p for col, x in rest.items()})
+        elif rest:
+            return None
+    return IntMatrix._wrap(y + [{} for _ in range(h.cols - len(y))], h.cols, b.cols)
+
+
+def _preimage_columns(gens: IntMatrix, mat: IntMatrix) -> IntMatrix:
+    """Columns spanning {w : mat @ w in the span L of gens}, read off one Hermite elimination:
+    pivoting on the top rows of the columns (mat e_j ; e_j) and (gens ; 0) leaves columns
+    with a zero top, where mat w == -g lies in L, and their lower parts span."""
+    m, k = gens.rows, mat.cols
+    cols = [{**c, m + j: 1} for j, c in enumerate(mat.transpose()._ent)] + list(gens.transpose()._ent)
+    rank = len(_hermite_columns(cols, m))
+    lower = IntMatrix._wrap(cols[rank:], len(cols) - rank, m + k).transpose()
+    return IntMatrix._wrap(lower._ent[m:], k, lower.cols)
 
 
 def column_rank(a: IntMatrix) -> int:
@@ -538,7 +568,8 @@ class Lattice:
 
     Two Lattice objects in the same ambient compare equal iff they are the
     same subgroup, which is what lets the higher layers phrase statements
-    like "the twisted image equals the kernel" as plain ==.
+    like "the twisted image equals the kernel" as plain ==.  Solving against
+    the basis needs no elimination: it is already in Hermite form.
     """
 
     __slots__ = ("ambient", "basis", "_pivot_rows")
@@ -598,9 +629,18 @@ class Lattice:
     def member(self, v: Sequence[int]) -> bool:
         return self.coords(v) is not None
 
+    def solve(self, b: IntMatrix) -> Optional[IntMatrix]:
+        """X with basis @ X == B, or None: ``solve_columns`` on a basis already in Hermite form."""
+        if b.rows != self.ambient:
+            raise PreconditionError("ambient dimensions differ")
+        x = _hermite_solve(self.basis, b)
+        if x is not None and self.basis @ x != b:
+            raise InternalInvariantError("Lattice.solve verification failed")
+        return x
+
     def contains(self, other: "Lattice") -> bool:
         self._same_ambient(other)
-        return all(self.member(c) for c in other.basis.columns())
+        return self.solve(other.basis) is not None
 
     def __add__(self, other: "Lattice") -> "Lattice":
         self._same_ambient(other)
@@ -610,18 +650,13 @@ class Lattice:
         self._same_ambient(other)
         if self.is_zero() or other.is_zero():
             return Lattice(self.ambient)
-        return Lattice(self.ambient, other.basis @ self._preimage_gens(other.basis))
+        return Lattice(self.ambient, self.basis @ _preimage_columns(other.basis, self.basis))
 
     def preimage(self, mat: IntMatrix) -> "Lattice":
-        """{w : mat @ w in self}, as a lattice in Z^(mat.cols)."""
+        """{w : mat @ w in self}, as a lattice in Z^(mat.cols); kernels are preimages of 0."""
         if mat.rows != self.ambient:
             raise PreconditionError("target lattice lives in the wrong space")
-        return Lattice(mat.cols, self._preimage_gens(mat))
-
-    def _preimage_gens(self, mat: IntMatrix) -> IntMatrix:
-        # w with mat w in self are the heads of the kernel of [mat | -basis]
-        ker = _kernel_columns(IntMatrix.hstack(mat, -self.basis))
-        return IntMatrix._wrap(ker._ent[: mat.cols], mat.cols, ker.cols)
+        return Lattice(mat.cols, _preimage_columns(self.basis, mat))
 
     def transform(self, m: IntMatrix) -> "Lattice":
         """Image lattice under the linear map m."""
@@ -633,10 +668,7 @@ class Lattice:
         """Index [Z^n : L]; requires full rank."""
         if self.rank != self.ambient:
             raise PreconditionError("infinite index: lattice is not full rank")
-        out = 1
-        for k in range(self.rank):
-            out *= self.basis[self._pivot_rows[k], k]
-        return out
+        return math.prod(self.basis[i, k] for k, i in enumerate(self._pivot_rows))
 
     def _same_ambient(self, other: "Lattice") -> None:
         if self.ambient != other.ambient:
@@ -655,37 +687,22 @@ class Lattice:
 
 
 def kernel_basis(a: IntMatrix) -> Lattice:
-    """Integer kernel of a as a lattice in Z^cols."""
-    return Lattice(a.cols, _kernel_columns(a))
+    """Integer kernel of a as a lattice in Z^cols: the preimage of the zero lattice."""
+    return Lattice(a.cols, _preimage_columns(IntMatrix.zeros(a.rows, 0), a))
 
 
 def solve_columns(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     """Integral X with A @ X == B, or None if no integral solution exists.
 
-    X = U @ Y for H == A @ U, where one forward substitution down the rows of
-    H solves H @ Y == B for all of B's columns: row k of Y, {column of B:
-    value}, is an exact division at the k-th pivot row, and every other row
-    must leave B's row zero.
+    X = U @ Y for H == A @ U and H @ Y == B.
     """
     if a.rows != b.rows:
         raise PreconditionError("row count mismatch")
     h, u = hnf(a)
-    y = []
-    for hrow, brow in zip(h._ent, b._ent):
-        k = len(y)
-        rest = dict(brow)
-        for j, c in hrow.items():
-            if j != k:
-                _addmul(rest, y[j], -c)
-        if k in hrow:
-            p = hrow[k]
-            if any(x % p for x in rest.values()):
-                return None
-            y.append({col: x // p for col, x in rest.items()})
-        elif rest:
-            return None
-    y += [{} for _ in range(a.cols - len(y))]
-    x = u @ IntMatrix._wrap(y, a.cols, b.cols)
+    y = _hermite_solve(h, b)
+    if y is None:
+        return None
+    x = u @ y
     if a @ x != b:
         raise InternalInvariantError("solve_columns verification failed")
     return x
@@ -770,10 +787,7 @@ class QuotientInvariants:
     def order(self) -> int:
         if self.free_rank:
             raise PreconditionError("infinite group has no order")
-        out = 1
-        for t in self.torsion:
-            out *= t
-        return out
+        return math.prod(self.torsion)
 
     def is_trivial(self) -> bool:
         return not self.torsion and self.free_rank == 0
@@ -798,7 +812,7 @@ def quotient_invariants(top, bottom: Lattice) -> QuotientInvariants:
         raise PreconditionError("quotient_invariants wants lattices")
     if top.ambient != bottom.ambient:
         raise PreconditionError("ambient dimensions differ")
-    x = solve_columns(top.basis, bottom.basis)
+    x = top.solve(bottom.basis)
     if x is None:
         raise PreconditionError("bottom is not contained in top")
     d = snf(x).diag

@@ -184,10 +184,7 @@ def purity_witness(pair: InclusionPair, xi, lam: RingElt) -> PurityVerdict:
         raise InternalInvariantError("pi(xi_1) must lie in the twist image")
     w0 = _solve_in_module(pair.M, pair.M.reduce(pair.M.twist_matrix.apply(w)), pair.sub.span)
     if w0 is not None:
-        eta = list(xi0)
-        tw_hat = pair.pres.action.col(pair.pres.index(w0))
-        for i in range(m):
-            eta[i] += tw_hat[i]
+        eta = [x + t for x, t in zip(xi0, pair.pres.action.col(pair.pres.index(w0)))]
         eta[pair.pres.index(w0)] -= 1
         return _verify_pure(pair, xi, lam, tuple(eta))
 
@@ -247,16 +244,13 @@ def find_equivariant_projection(n0: Lattice, eq: EquivariantLattice) -> Optional
     search to one integer Sylvester equation; no solution there proves
     absence, it is never a timeout.
     """
-    lat = eq.lattice
-    if not lat.contains(n0):
+    s_basis = eq.lattice.solve(n0.basis)
+    if s_basis is None:
         raise PreconditionError("candidate summand must lie inside the lattice")
-    r = lat.rank
-    coords = [lat.coords(col) for col in n0.basis.columns()]
-    s_basis = IntMatrix.from_cols(coords, rows=r) if coords else IntMatrix.zeros(r, 0)
+    r, r0 = eq.lattice.rank, s_basis.cols
     c = eq.restricted()
-    if coords and solve_columns(s_basis, c @ s_basis) is None:
+    if r0 and solve_columns(s_basis, c @ s_basis) is None:
         raise PreconditionError("candidate summand is not action-invariant")
-    r0 = s_basis.cols
     if r0 == 0:
         return IntMatrix.zeros(r, r)
     if r0 == r:
@@ -294,10 +288,8 @@ def _verify_projection(proj: IntMatrix, c: IntMatrix, s_basis: IntMatrix, r: int
         raise InternalInvariantError("projection does not commute with the action")
     if proj @ s_basis != s_basis:
         raise InternalInvariantError("projection must fix the summand")
-    span = Lattice(r, s_basis)
-    for col in proj.columns():
-        if not span.member(col):
-            raise InternalInvariantError("projection must land in the summand")
+    if Lattice(r, s_basis).solve(proj) is None:
+        raise InternalInvariantError("projection must land in the summand")
 
 
 @dataclass(frozen=True)
@@ -343,9 +335,8 @@ def inclusion_diagram(pair: InclusionPair, k_max: int = 4, seed: int = 0) -> Dia
         raise InternalInvariantError("column map must be equivariant")
     lhs = row.pi_matrix @ jmap
     rhs = pair.sub.inclusion @ row0.pi_matrix
-    for col in (lhs - rhs).columns():
-        if not pair.M.rel.member(col):
-            raise InternalInvariantError("column map must commute with the projections")
+    if pair.M.rel.solve(lhs - rhs) is None:
+        raise InternalInvariantError("column map must commute with the projections")
 
     n1_eq = EquivariantLattice(p, row.n1.ambient, act)
     small_kernel = Lattice(big, jmap @ row0.n1.ambient.basis)

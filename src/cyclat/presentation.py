@@ -87,7 +87,7 @@ class EquivariantLattice:
         if action.pow(p) != IntMatrix.identity(n):
             raise PreconditionError("action order must divide p")
         # with action^p = 1, mapping the lattice into itself maps it onto itself
-        restricted = solve_columns(lattice.basis, action @ lattice.basis)
+        restricted = lattice.solve(action @ lattice.basis)
         if restricted is None:
             raise PreconditionError("lattice is not action-invariant")
         self.p = p
@@ -259,19 +259,23 @@ class InvariantBasis:
             raise InternalInvariantError("basis vector outside the ambient space")
         if len(vecs) != self.ambient.rank:
             raise InternalInvariantError("basis size differs from the lattice rank")
-        if Lattice(n, IntMatrix.from_cols(vecs, rows=n)) != self.ambient:
+        mat = IntMatrix.from_cols(vecs, rows=n)
+        if Lattice(n, mat) != self.ambient:
             raise InternalInvariantError("vectors do not span the lattice")
+        # one product moves every vector: each block vector must land on the
+        # next one of its block, and each fixed vector must stay put
+        moved = (self.action @ mat).columns()
+        start = len(self.fixed_vectors)
         for blk in self.orbit_blocks:
             if len(blk) != self.p:
                 raise InternalInvariantError("orbit block of the wrong length")
             if blk[0] == blk[(1 % self.p)] and self.p > 1:
                 raise InternalInvariantError("orbit block has period 1")
-            for i, v in enumerate(blk):
-                if self.action.apply(v) != blk[(i + 1) % self.p]:
-                    raise InternalInvariantError("orbit block is not a p-cycle")
-        for v in self.fixed_vectors:
-            if self.action.apply(v) != v:
-                raise InternalInvariantError("fixed vector moves under the action")
+            if any(moved[start + i] != blk[(i + 1) % self.p] for i in range(self.p)):
+                raise InternalInvariantError("orbit block is not a p-cycle")
+            start += self.p
+        if moved[: len(self.fixed_vectors)] != list(self.fixed_vectors):
+            raise InternalInvariantError("fixed vector moves under the action")
 
     def summary(self) -> str:
         return f"{len(self.orbit_blocks)} free orbit(s) + {len(self.fixed_vectors)} fixed"
@@ -442,10 +446,8 @@ def _constructive_basis(eq: EquivariantLattice) -> Optional[InvariantBasis]:
 
 def _orbit_of(c: IntMatrix, v: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
     orb = [v]
-    cur = v
     for _ in range(p - 1):
-        cur = c.apply(cur)
-        orb.append(cur)
+        orb.append(c.apply(orb[-1]))
     return orb
 
 

@@ -26,7 +26,6 @@ from .intlinalg import (
     QuotientInvariants,
     inv_unimodular,
     quotient_invariants,
-    solve_columns,
 )
 
 # Largest module order FinMod.enumerate lists.  Far above every module the
@@ -184,10 +183,9 @@ class FinMod:
             raise PreconditionError("relation lattice lives in the wrong space")
         if aut.rows != r or aut.cols != r:
             raise PreconditionError("automorphism matrix has the wrong shape")
-        if not all(rel.member(aut.apply(c)) for c in rel.basis.columns()):
+        if rel.solve(aut @ rel.basis) is None:
             raise PreconditionError("automorphism does not preserve the relations")
-        pw = aut.pow(p) - IntMatrix.identity(r)
-        if any(not rel.member(pw.col(j)) for j in range(r)):
+        if rel.solve(aut.pow(p) - IntMatrix.identity(r)) is None:
             raise PreconditionError("automorphism order does not divide p on the quotient")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "r", r)
@@ -215,7 +213,7 @@ class FinMod:
         return quotient_invariants(self.r, self.rel)
 
     def is_trivial_action(self) -> bool:
-        return all(self.rel.member(c) for c in self.twist_matrix.columns())
+        return self.rel.solve(self.twist_matrix) is not None
 
     # -- elements ------------------------------------------------------------
 
@@ -243,7 +241,9 @@ class FinMod:
 
     def index_of(self, v: Sequence[int]) -> int:
         self.enumerate()
-        return self._index[self.reduce(v)]
+        # every key is a canonical representative, so only a miss needs reducing
+        i = self._index.get(tuple(v))
+        return self._index[self.reduce(v)] if i is None else i
 
     def act(self, v: Sequence[int]) -> tuple[int, ...]:
         return self.reduce(self.aut.apply(v))
@@ -306,19 +306,17 @@ class FinMod:
         return Lattice(self.r, IntMatrix.from_cols(cols, rows=self.r))
 
     def submodule_generated(self, gens: Iterable[Sequence[int]]) -> "Submodule":
-        span = self.invariant_span(gens)
-        return self.submodule_from_lattice(span)
+        return self.submodule_from_lattice(self.invariant_span(gens))
 
     def submodule_from_lattice(self, span: Lattice) -> "Submodule":
-        if not span.contains(self.rel):
+        rel_in = span.solve(self.rel.basis)
+        if rel_in is None:
             raise PreconditionError("submodule lattice must contain the relations")
-        basis = span.basis
-        rel_in = solve_columns(basis, self.rel.basis)
-        aut_in = solve_columns(basis, self.aut @ basis)
-        if rel_in is None or aut_in is None:
+        aut_in = span.solve(self.aut @ span.basis)
+        if aut_in is None:
             raise PreconditionError("submodule lattice is not action-invariant")
         sub = FinMod(self.p, span.rank, Lattice(span.rank, rel_in), aut_in)
-        return Submodule(self, sub, basis, span)
+        return Submodule(self, sub, span.basis, span)
 
     def invariant_subgroups(self) -> list[Lattice]:
         """All action-invariant subgroups, as lattices; finite modules only.
@@ -386,15 +384,11 @@ def _build(spec, p: int) -> FinMod:
         return FinMod(p, spec.rank, Lattice(spec.rank), IntMatrix.identity(spec.rank), spec)
     if isinstance(spec, CyclicR):
         q = spec.q**spec.k
-        return FinMod(
-            p, p, Lattice(p, q * IntMatrix.identity(p)), generator(p).matrix(), spec
-        )
+        return FinMod(p, p, Lattice(p, q * IntMatrix.identity(p)), generator(p).matrix(), spec)
     if isinstance(spec, FreeR):
         shift = generator(p).matrix()
         n = p * spec.rank
-        return FinMod(
-            p, n, Lattice(n), IntMatrix.block_diag(*([shift] * spec.rank)), spec
-        )
+        return FinMod(p, n, Lattice(n), IntMatrix.block_diag(*([shift] * spec.rank)), spec)
     if isinstance(spec, DirectSum):
         mods = [_build(part, p) for part in spec.parts]
         out = mods[0]
@@ -407,10 +401,7 @@ def _build(spec, p: int) -> FinMod:
 def direct_sum(a: FinMod, b: FinMod) -> FinMod:
     if a.p != b.p:
         raise PreconditionError("mixed p")
-    rel = Lattice(
-        a.r + b.r,
-        IntMatrix.block_diag(a.rel.basis, b.rel.basis),
-    )
+    rel = Lattice(a.r + b.r, IntMatrix.block_diag(a.rel.basis, b.rel.basis))
     shape = None
     if a.shape is not None and b.shape is not None:
         lp = a.shape.parts if isinstance(a.shape, DirectSum) else (a.shape,)

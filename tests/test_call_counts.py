@@ -108,10 +108,14 @@ def test_graph_verify_validates_group_once(monkeypatch, capsys):
 
 def test_kernel_check_restricts_the_action_once(monkeypatch, capsys):
     transforms = count_calls(monkeypatch, Lattice, "transform")
-    solves = count_calls(monkeypatch, cyclat.intlinalg, "solve_columns")
+    solves = count_calls(monkeypatch, Lattice, "solve")
+    eliminations = count_calls(monkeypatch, cyclat.intlinalg, "solve_columns")
     assert run_cli(capsys, "module", "check-noncyc", "cyclicR(2,2)", "--p", "2") == 0
     assert len(transforms) == 0
-    assert len(solves) == 1
+    # the module's two relation checks in Z^2, then the presentation
+    # kernel's one invariance check in Z^16, each against a canonical basis
+    assert [args[0].ambient for args in solves] == [2, 2, 16]
+    assert len(eliminations) == 0
 
 
 def test_graph_ktheory_reads_k1_off_the_smith_transform(monkeypatch, capsys):
@@ -125,15 +129,27 @@ def test_graph_ktheory_reads_k1_off_the_smith_transform(monkeypatch, capsys):
 
 
 def test_lattice_bases_do_not_build_the_hnf_transform(monkeypatch):
-    # Lattice and column_rank read H alone, so only the kernel's U calls hnf
+    # Lattice and column_rank read H alone, and kernels, preimages,
+    # intersections and solves against a Lattice never need U
     a = IntMatrix([[2, 4, 1, 0], [0, 6, 3, 3], [1, 1, 1, 1]])
     calls = count_calls(monkeypatch, cyclat.intlinalg, "hnf")
+    lat = Lattice(3, a)
     assert Lattice.full(5).rank == 5
-    assert Lattice(3, a).rank == 3
+    assert lat.rank == 3
     assert column_rank(a) == 3
-    assert len(calls) == 0
     assert kernel_basis(a).rank == 1
-    assert len(calls) == 1
+    assert lat.intersect(Lattice.full(3)) == lat
+    assert lat.solve(a) is not None
+    assert lat.contains(Lattice(3, 2 * a))
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("command", ["present", "invariant-basis"])
+def test_module_commands_never_run_hnf(monkeypatch, capsys, command):
+    # every solve there is against a Lattice basis and every kernel a preimage
+    calls = count_calls(monkeypatch, cyclat.intlinalg, "hnf")
+    assert run_cli(capsys, "module", command, "cyclicR(2,1)+triv(2)", "--p", "5") == 0
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize(

@@ -984,3 +984,161 @@ class TestPreimageOracle:
         l1, l2, l3 = case
         assert l1.contains(l2)
         assert l1.intersect(l2 + l3) == l2 + l1.intersect(l3)
+
+
+def _two_step_kernel_reference(a: IntMatrix) -> IntMatrix:
+    """Columns of the HNF transform spanning the integer kernel of a (not reduced):
+    the first of the two eliminations that kernel_basis, preimage and intersect
+    ran before one stacked elimination replaced them."""
+    h, u = hnf(a)
+    rank = max((max(row) + 1 for row in h._ent if row), default=0)  # the nonzero columns lead
+    return u.submatrix(range(a.cols), range(rank, a.cols))
+
+
+def _two_step_preimage_gens(lat: Lattice, mat: IntMatrix) -> IntMatrix:
+    # w with mat w in lat are the heads of the kernel of [mat | -basis]
+    ker = _two_step_kernel_reference(IntMatrix.hstack(mat, -lat.basis))
+    return IntMatrix._wrap(ker._ent[: mat.cols], mat.cols, ker.cols)
+
+
+def _two_step_preimage(lat: Lattice, mat: IntMatrix) -> Lattice:
+    return Lattice(mat.cols, _two_step_preimage_gens(lat, mat))
+
+
+def _two_step_intersect(l1: Lattice, l2: Lattice) -> Lattice:
+    if l1.is_zero() or l2.is_zero():
+        return Lattice(l1.ambient)
+    return Lattice(l1.ambient, l2.basis @ _two_step_preimage_gens(l1, l2.basis))
+
+
+@st.composite
+def generator_matrices(draw, m, max_cols=6):
+    """An m-row matrix of up to max_cols columns, any kind, entries up to 2^40."""
+    k = draw(st.integers(0, max_cols))
+    return IntMatrix(draw(entry_rows(m, k, draw(KINDS), bound=2**40)), shape=(m, k))
+
+
+@st.composite
+def lattice_pairs(draw, max_dim=6):
+    """(L, A): a lattice of Z^m of any rank and a matrix with m rows."""
+    m = draw(st.integers(0, max_dim))
+    return Lattice(m, draw(generator_matrices(m))), draw(generator_matrices(m))
+
+
+EDGE_MATRICES = [
+    IntMatrix.zeros(0, 0),
+    IntMatrix.zeros(0, 3),
+    IntMatrix.zeros(3, 0),
+    IntMatrix.zeros(2, 3),
+    IntMatrix.identity(3),
+    IntMatrix([[2**40, -(2**40) + 1, 3], [5, 7, -(2**40)]]),
+]
+
+
+class TestStackedEliminationOracle:
+    """kernel_basis, preimage and intersect from one stacked elimination are
+    exactly the lattices of the kernel-of-U path they replaced."""
+
+    @staticmethod
+    def assert_same(got: Lattice, want: Lattice):
+        assert got == want
+        assert got.pivot_rows == want.pivot_rows
+        assert_public_form(got.basis)
+
+    @given(snf_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_basis(self, a):
+        self.assert_same(kernel_basis(a), Lattice(a.cols, _two_step_kernel_reference(a)))
+
+    @pytest.mark.parametrize("a", EDGE_MATRICES, ids=repr)
+    def test_kernel_basis_edge_shapes(self, a):
+        want = Lattice(a.cols, _two_step_kernel_reference(a))
+        self.assert_same(kernel_basis(a), want)
+        assert want.rank == a.cols - column_rank(a)
+
+    @given(lattice_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_preimage(self, case):
+        lat, a = case
+        self.assert_same(lat.preimage(a), _two_step_preimage(lat, a))
+
+    @pytest.mark.parametrize("a", EDGE_MATRICES, ids=repr)
+    def test_preimage_edge_shapes(self, a):
+        for lat in (Lattice(a.rows), Lattice.full(a.rows), Lattice(a.rows, 2 * a)):
+            self.assert_same(lat.preimage(a), _two_step_preimage(lat, a))
+
+    @given(st.integers(0, 6).flatmap(lambda m: st.tuples(generator_matrices(m), generator_matrices(m))))
+    @settings(max_examples=100, deadline=None)
+    def test_intersect(self, gens):
+        g1, g2 = gens
+        l1, l2 = Lattice(g1.rows, g1), Lattice(g2.rows, g2)
+        self.assert_same(l1.intersect(l2), _two_step_intersect(l1, l2))
+        self.assert_same(l2.intersect(l1), l1.intersect(l2))
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_intersect_with_zero_and_full(self, m):
+        zero, full = Lattice(m), Lattice.full(m)
+        for a, b in [(zero, zero), (zero, full), (full, zero), (full, full)]:
+            self.assert_same(a.intersect(b), _two_step_intersect(a, b))
+
+    @pytest.mark.parametrize(
+        "spec, p",
+        [("triv(4)", 3), ("cyclicR(2,1)", 2), ("cyclicR(2,1)", 3), ("cyclicR(2,1)+triv(2)", 2),
+         ("cyclicR(3,1)", 2), ("cyclicR(2,2)", 2)],
+    )
+    def test_presentation_kernels(self, spec, p):
+        m = build(parse_modspec(spec), p)
+        pres = build_aug(m)
+        a = IntMatrix.hstack(pres.pi_matrix, -m.rel.basis)
+        self.assert_same(kernel_basis(a), Lattice(a.cols, _two_step_kernel_reference(a)))
+        self.assert_same(m.rel.preimage(pres.pi_matrix), _two_step_preimage(m.rel, pres.pi_matrix))
+        twist = Lattice(pres.size, pres.action - IntMatrix.identity(pres.size))
+        self.assert_same(pres.N.intersect(twist), _two_step_intersect(pres.N, twist))
+
+
+@st.composite
+def lattice_solve_inputs(draw):
+    """(L, B): a lattice from snf_inputs and B == L.basis @ X0, followed by
+    zero to two drawn columns that need not lie in L."""
+    a = draw(snf_inputs(max_dim=7))
+    lat = Lattice(a.rows, a)
+    k = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["dense", "mostly zero", "unit columns"]))
+    b = lat.basis @ IntMatrix(draw(entry_rows(lat.rank, k, kind, bound=50)), shape=(lat.rank, k))
+    extra = draw(st.integers(0, 2))
+    b = IntMatrix.hstack(b, IntMatrix(draw(entry_rows(a.rows, extra, kind, bound=6)), shape=(a.rows, extra)))
+    return lat, b
+
+
+class TestLatticeSolveOracle:
+    """Lattice.solve needs no elimination and returns exactly solve_columns' X."""
+
+    @given(lattice_solve_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_solve_columns(self, case):
+        lat, b = case
+        got = lat.solve(b)
+        assert got == solve_columns(lat.basis, b)
+        if got is not None:
+            assert lat.basis @ got == b
+            assert_public_form(got)
+
+    def test_unsolvable(self):
+        lat = Lattice.spanned_by([(2, 0), (0, 3)], ambient=2)
+        assert lat.solve(mat([[4, 1], [9, 0]])) is None
+        assert lat.solve(mat([[4], [9]])) == mat([[2], [3]])
+        assert solve_columns(lat.basis, mat([[4, 1], [9, 0]])) is None
+
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    def test_zero_lattice(self, m):
+        zero = Lattice(m)
+        b = IntMatrix.zeros(m, 2)
+        assert zero.solve(b) == solve_columns(zero.basis, b) == IntMatrix.zeros(0, 2)
+        if m:
+            b = IntMatrix.unit_columns(m, [m - 1])
+            assert zero.solve(b) is None
+            assert solve_columns(zero.basis, b) is None
+
+    def test_wrong_space_rejected(self):
+        with pytest.raises(PreconditionError):
+            Lattice.full(2).solve(IntMatrix.identity(3))

@@ -221,6 +221,62 @@ class TestLeafBasisOracle:
         assert got.fixed_vectors == want.fixed_vectors
 
 
+class _SpansAnything:
+    """A stand-in ambient lattice of Z^2 and rank 2 that every span equals."""
+
+    ambient = 2
+    rank = 2
+
+    def __eq__(self, other):
+        return True
+
+    __hash__ = None
+
+
+class TestInvariantBasisVerify:
+    """Each failure of InvariantBasis.verify, on Z^4 where the action at p = 3
+    cycles e0 -> e1 -> e2 -> e0 and fixes e3."""
+
+    ACTION = IntMatrix.unit_columns(4, [1, 2, 0, 3])
+    E0, E1, E2, E3 = (_unit(4, i) for i in range(4))
+
+    def make(self, blocks, fixed):
+        return InvariantBasis(3, self.ACTION, Lattice.full(4), blocks, fixed)
+
+    def test_valid_split(self):
+        basis = self.make([(self.E0, self.E1, self.E2)], [self.E3])
+        assert basis.summary() == "1 free orbit(s) + 1 fixed"
+
+    def test_block_rotated_the_wrong_way(self):
+        with pytest.raises(InternalInvariantError, match="orbit block is not a p-cycle"):
+            self.make([(self.E0, self.E2, self.E1)], [self.E3])
+
+    def test_fixed_vector_that_moves(self):
+        # e0 + e3 goes to e1 + e3; the vectors still span Z^4
+        with pytest.raises(InternalInvariantError, match="fixed vector moves under the action"):
+            self.make([(self.E0, self.E1, self.E2)], [(1, 0, 0, 1)])
+
+    def test_blocks_are_checked_before_fixed_vectors(self):
+        with pytest.raises(InternalInvariantError, match="orbit block is not a p-cycle"):
+            self.make([(self.E0, self.E2, self.E1)], [(1, 0, 0, 1)])
+
+    def test_doubled_vector_does_not_span(self):
+        with pytest.raises(InternalInvariantError, match="vectors do not span the lattice"):
+            self.make([(self.E0, self.E1, self.E2)], [(0, 0, 0, 2)])
+
+    def test_block_of_the_wrong_length(self):
+        with pytest.raises(InternalInvariantError, match="orbit block of the wrong length"):
+            self.make([(self.E0, self.E1, self.E2, self.E3)], [])
+
+    def test_period_one_block(self):
+        # a block (v, v) repeats a vector, so it never spans a lattice of the
+        # basis's rank and the span check fires first; an ambient that every
+        # span equals lets the period check see the block
+        e0 = _unit(2, 0)
+        with pytest.raises(InternalInvariantError, match="orbit block has period 1"):
+            InvariantBasis(2, IntMatrix.identity(2), _SpansAnything(), [(e0, e0)], [])
+
+
 class TestFreeWindow:
     def test_basic_window(self):
         window, mat = free_r_xi_window(2, [(1, 1), (2, 1), (1, 2)])
