@@ -250,6 +250,7 @@ def decompose_prime(p: int) -> PrimeIdentities:
         raise PreconditionError(f"{p} is not prime")
     t, s, one = twist(p), norm(p), const(p, 1)
     tp1 = t.pow(p - 1)
+    tp = tp1 * t
 
     core = _exact_scalar_div(tp1 - s, p)
     if tp1 != p * core + s:
@@ -258,34 +259,35 @@ def decompose_prime(p: int) -> PrimeIdentities:
         raise InternalInvariantError("core augmentation is not -1")
 
     seed = divide_by_twist(core + one)
+    ts = t * seed
 
     def invariant_holds(st: SubstitutionStep) -> bool:
-        rhs = -tp1 + t.pow(p) * st.twist_acc + p * st.carrier + s * st.norm_acc
+        rhs = -tp1 + tp * st.twist_acc + p * st.carrier + s * st.norm_acc
         return rhs == const(p, p)
 
-    state = SubstitutionStep(const(p, 0), t * seed, one)
+    state = SubstitutionStep(const(p, 0), ts, one)
     if not invariant_holds(state):
         raise InternalInvariantError("substitution start state invalid")
     steps = [state]
+    t_m1, seed_m = one, seed  # t^(m-1) and seed^m, one product each per step
 
     for m in range(1, p):
         # carrier == (t*seed)^m here; fold its part that carries p extra
         # twist factors into the t^p bucket
-        delta = -(t.pow(m - 1) * seed.pow(m))
-        if t.pow(p) * delta != -(tp1 * state.carrier):
+        delta = -(t_m1 * seed_m)
+        if tp * delta != -(tp1 * state.carrier):
             raise InternalInvariantError(f"substitution step {m} not exact")
         state = SubstitutionStep(
-            state.twist_acc + delta,
-            state.carrier * (t * seed),
-            state.norm_acc + state.carrier,
+            state.twist_acc + delta, state.carrier * ts, state.norm_acc + state.carrier
         )
         if not invariant_holds(state):
             raise InternalInvariantError(f"invariant lost at step {m}")
         steps.append(state)
+        t_m1, seed_m = t_m1 * t, seed_m * seed
 
     # carrier is now (t*seed)^p, divisible by t^p; absorb it and finish
-    final_delta = p * seed.pow(p)
-    if t.pow(p) * final_delta != p * state.carrier:
+    final_delta = p * seed_m
+    if tp * final_delta != p * state.carrier:
         raise InternalInvariantError("final fold not exact")
     state = SubstitutionStep(state.twist_acc + final_delta, const(p, 0), state.norm_acc)
     if not invariant_holds(state):
@@ -293,7 +295,7 @@ def decompose_prime(p: int) -> PrimeIdentities:
     steps.append(state)
 
     f, g = state.twist_acc, state.norm_acc
-    if const(p, p) != -tp1 + t.pow(p) * f + s * g:
+    if const(p, p) != -tp1 + tp * f + s * g:
         raise InternalInvariantError("prime decomposition failed verification")
     return PrimeIdentities(p, core, seed, f, g, tuple(steps))
 

@@ -11,12 +11,12 @@ actions, unit-column embeddings, presentation kernels, gadget boundary
 matrices) have a few nonzero entries per row.  All updates go through the
 one ``_addmul(out, row, c)``, ``out += c * row``: ``+`` and ``-``, ``A @ B``
 (Gustavson's row-by-row product: row i of the result sums A[i, k] times
-row k of B), ``snf`` on the rows of S and U and the columns of V, and the
-Hermite elimination on A's columns: ``hnf`` stacks them on the identity so
-one column operation builds H and U together, while ``Lattice`` and
-``column_rank``, which read H alone, leave the identity out; U serves only
-``solve_columns`` and ``inv_unimodular``.  Each costs in proportion to the
-nonzero entries it meets, not to the size of the matrix.
+row k of B), ``snf`` on the rows of S and U and the columns of V and U^-1,
+and the Hermite elimination on A's columns: ``hnf`` stacks them on the
+identity so one column operation builds H and U together, while ``Lattice``
+and ``column_rank``, which read H alone, leave the identity out; ``hnf``'s U
+serves only ``solve_columns`` and ``inv_unimodular``.  Each costs in
+proportion to the nonzero entries it meets, not to the size of the matrix.
 
 Conventions that the rest of the package leans on:
 
@@ -25,12 +25,12 @@ Conventions that the rest of the package leans on:
   pivot in its row reduced into ``[0, pivot)``.  ``H`` with zero columns
   dropped is the canonical basis of the column span, which is what makes
   ``Lattice`` equality decidable by comparing bases.
-* ``snf`` returns ``U @ A @ V == S`` with nonnegative diagonal and each
-  diagonal entry dividing the next.  Its pivot at step k is the smallest
-  |entry| of the remaining block, ties going to the first in row-major
-  order; the transforms U and V, and with them the K0 coordinates of the
-  graph layer, depend on this rule and on the order of the row and column
-  operations that follow it, so both are fixed.
+* ``snf`` returns ``U @ A @ V == S``, and U^-1 from the same elimination,
+  with nonnegative diagonal and each diagonal entry dividing the next.  Its
+  pivot at step k is the smallest |entry| of the remaining block, ties going
+  to the first in row-major order; the transforms, and with them the K0
+  coordinates of the graph layer, depend on this rule and on the order of
+  the row and column operations that follow it, so both are fixed.
 * ``Lattice.preimage`` is the one home of ``{w : A w in L}``, read off a
   single stacked elimination: fixed submodules, norm kernels, presentation
   kernels, group relations, ``kernel_basis`` and ``Lattice.intersect``.
@@ -443,11 +443,12 @@ def column_rank(a: IntMatrix) -> int:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """U @ A @ V == S, S diagonal with nonnegative entries d_k | d_{k+1}."""
+    """U @ A @ V == S, S diagonal with nonnegative entries d_k | d_{k+1}; u_inv @ U == I."""
 
     u: IntMatrix
     s: IntMatrix
     v: IntMatrix
+    u_inv: IntMatrix
 
     @property
     def diag(self) -> tuple[int, ...]:
@@ -459,7 +460,7 @@ class SnfResult:
 
 
 def snf(a: IntMatrix) -> SnfResult:
-    """Smith normal form with both transforms, deterministic pivoting.
+    """Smith normal form with both transforms and U's inverse, deterministic pivoting.
 
     Step k moves the smallest |entry| of the remaining block (ties: the
     first in row-major order) to (k, k), reduces its column by row
@@ -469,11 +470,14 @@ def snf(a: IntMatrix) -> SnfResult:
     {index: nonzero entry}, so each of these passes touches the nonzero
     entries of the block, plus one lookup per remaining row to find the
     pivot column.  Columns are swapped through the permutation ``order``
-    instead of moving entries.
+    instead of moving entries.  Each row operation is undone on the columns
+    of U^-1 (swap, col_k += q col_i, negate, col_o -= col_k), so U^-1 comes
+    out of the same elimination.
     """
     m, n = a.rows, a.cols
     s = [dict(row) for row in a._ent]
     u = [{i: 1} for i in range(m)]
+    ui = [{i: 1} for i in range(m)]  # columns of U^-1
     v = [{j: 1} for j in range(n)]  # V column of each column key of s
     order = list(range(n))  # column key at each position of S
     place = list(range(n))  # position of each column key
@@ -499,6 +503,7 @@ def snf(a: IntMatrix) -> SnfResult:
             if bi != k:
                 s[k], s[bi] = s[bi], s[k]
                 u[k], u[bi] = u[bi], u[k]
+                ui[k], ui[bi] = ui[bi], ui[k]
             if bt != k:
                 jk, jt = order[k], order[bt]
                 order[k], order[bt] = jt, jk
@@ -515,6 +520,7 @@ def snf(a: IntMatrix) -> SnfResult:
                     if q:
                         _addmul(s[i], srow, -q)
                         _addmul(u[i], u[k], -q)
+                        _addmul(ui[k], ui[i], q)
                     if pk in s[i]:
                         dirty = True
                         pivot_col.append(i)
@@ -538,6 +544,7 @@ def snf(a: IntMatrix) -> SnfResult:
             if p < 0:
                 s[k] = {j: -x for j, x in srow.items()}
                 u[k] = {i: -x for i, x in u[k].items()}
+                ui[k] = {i: -x for i, x in ui[k].items()}
                 p = -p
             # every remaining entry is a multiple of 1, so a unit pivot is final
             offender = None
@@ -547,6 +554,7 @@ def snf(a: IntMatrix) -> SnfResult:
                 break
             _addmul(s[k], s[offender], 1)
             _addmul(u[k], u[offender], 1)
+            _addmul(ui[offender], ui[k], -1)
         if not best:
             break
 
@@ -554,9 +562,12 @@ def snf(a: IntMatrix) -> SnfResult:
         IntMatrix._wrap(u, m, m),
         IntMatrix._wrap([{place[j]: x for j, x in row.items()} for row in s], m, n),
         IntMatrix._wrap([v[j] for j in order], n, n).transpose(),
+        IntMatrix._wrap(ui, m, m).transpose(),
     )
     if res.u @ a @ res.v != res.s:
         raise InternalInvariantError("snf transform identity failed")
+    if res.u_inv @ res.u != IntMatrix.identity(m):
+        raise InternalInvariantError("snf inverse transform identity failed")
     return res
 
 

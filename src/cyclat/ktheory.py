@@ -24,20 +24,11 @@ than MAX_WINDOW before building it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Optional
 
 from .errors import InternalInvariantError, PreconditionError
 from .graphkit import GadgetGraph, GroupGraphSpec, is_irreducible, validate_automorphism
-from .intlinalg import (
-    IntMatrix,
-    Lattice,
-    QuotientInvariants,
-    inv_unimodular,
-    quotient_invariants,
-    snf,
-    solve_columns,
-)
+from .intlinalg import IntMatrix, Lattice, QuotientInvariants, quotient_invariants, snf
 
 # Largest window, in vertices, a graph command builds.  A strand-M window of
 # depth L has 1 + M*L vertices, so strand 16 at depth 12 has 193.  A
@@ -113,9 +104,9 @@ class KResult:
 
     invariants describe K0; coord_orders gives the order of each retained
     SNF coordinate (0 meaning free), and vertex classes are coordinate
-    tuples over those.  k1_basis spans the kernel of the boundary matrix.
+    tuples over those.  k1 is the kernel of the boundary matrix.  u_inv,
+    the inverse of the SNF row transform, comes from the same elimination.
     The induced automorphism matrices are filled in by induced_action.
-    u_inv, the inverse of the SNF row transform, is computed on first use.
     """
 
     depth: int
@@ -123,19 +114,20 @@ class KResult:
     invariants: QuotientInvariants
     coord_orders: tuple[int, ...]
     vertex_classes: dict[str, tuple[int, ...]]
-    k1_basis: IntMatrix
+    k1: Lattice
     _u: IntMatrix = field(repr=False)
+    u_inv: IntMatrix = field(repr=False)
     _jrows: tuple[int, ...] = field(repr=False)
     induced_k0: Optional[IntMatrix] = None
     induced_k1: Optional[IntMatrix] = None
 
     @property
-    def k1_rank(self) -> int:
-        return self.k1_basis.cols
+    def k1_basis(self) -> IntMatrix:
+        return self.k1.basis
 
-    @cached_property
-    def u_inv(self) -> IntMatrix:
-        return inv_unimodular(self._u)
+    @property
+    def k1_rank(self) -> int:
+        return self.k1.rank
 
     def reduce_class(self, vec) -> tuple[int, ...]:
         return tuple(x % d if d else x for x, d in zip(vec, self.coord_orders))
@@ -164,8 +156,8 @@ def compute_k(g: GadgetGraph, depth: int) -> KResult:
     invariants = QuotientInvariants(tuple(d for d in diag[:rank] if d > 1), n - rank)
     # V is unimodular and U A V = S, so V's columns past the rank span ker A
     ncols = bnd.matrix.cols
-    k1_basis = Lattice(ncols, res.v.submatrix(range(ncols), range(rank, ncols))).basis
-    if not (bnd.matrix @ k1_basis).is_zero():
+    k1 = Lattice(ncols, res.v.submatrix(range(ncols), range(rank, ncols)))
+    if not (bnd.matrix @ k1.basis).is_zero():
         raise InternalInvariantError("K1 basis is not in the kernel of the boundary matrix")
     kr = KResult(
         depth=depth,
@@ -173,8 +165,9 @@ def compute_k(g: GadgetGraph, depth: int) -> KResult:
         invariants=invariants,
         coord_orders=coord_orders,
         vertex_classes={},
-        k1_basis=k1_basis,
+        k1=k1,
         _u=res.u,
+        u_inv=res.u_inv,
         _jrows=jrows,
     )
     for v in g.vertices:
@@ -217,12 +210,9 @@ def induced_action(g: GadgetGraph, kr: KResult) -> KResult:
         if kr.reduce_class(m0.apply(kr.class_of(v))) != kr.class_of(g.sigma_vertex(v)):
             raise InternalInvariantError(f"induced K0 action disagrees at {v!r}")
 
-    if kr.k1_basis.cols == 0:
-        m1 = IntMatrix.zeros(0, 0)
-    else:
-        m1 = solve_columns(kr.k1_basis, p_col @ kr.k1_basis)
-        if m1 is None:
-            raise InternalInvariantError("kernel is not invariant under the action")
+    m1 = kr.k1.solve(p_col @ kr.k1.basis)
+    if m1 is None:
+        raise InternalInvariantError("kernel is not invariant under the action")
     return replace(kr, induced_k0=m0, induced_k1=m1)
 
 

@@ -15,13 +15,13 @@ from typing import Optional
 
 from .cyclo_ring import RingElt, norm
 from .errors import InternalInvariantError, PreconditionError
-from .intlinalg import IntMatrix, Lattice, inv_unimodular, snf, solve_columns
+from .intlinalg import IntMatrix, Lattice, snf, solve_columns
 from .presentation import (
     AugPresentation,
     EquivariantLattice,
     StabilizedPresentation,
+    _stabilize,
     build_aug,
-    stabilize_presentation,
 )
 from .zmod import FinMod, Submodule
 
@@ -249,7 +249,8 @@ def find_equivariant_projection(n0: Lattice, eq: EquivariantLattice) -> Optional
         raise PreconditionError("candidate summand must lie inside the lattice")
     r, r0 = eq.lattice.rank, s_basis.cols
     c = eq.restricted()
-    if r0 and solve_columns(s_basis, c @ s_basis) is None:
+    summand = Lattice(r, s_basis)
+    if summand.solve(c @ s_basis) is None:
         raise PreconditionError("candidate summand is not action-invariant")
     if r0 == 0:
         return IntMatrix.zeros(r, r)
@@ -259,8 +260,7 @@ def find_equivariant_projection(n0: Lattice, eq: EquivariantLattice) -> Optional
     res = snf(s_basis)
     if res.rank != r0 or any(d != 1 for d in res.diag[:r0]):
         return None  # not a pure subgroup, so never a summand
-    u = res.u
-    u_inv = inv_unimodular(u)
+    u, u_inv = res.u, res.u_inv
     a_tilde = u @ c @ u_inv
     for i in range(r0, r):
         for j in range(r0):
@@ -277,18 +277,18 @@ def find_equivariant_projection(n0: Lattice, eq: EquivariantLattice) -> Optional
         IntMatrix.zeros(r - r0, r),
     )
     proj = u_inv @ p_tilde @ u
-    _verify_projection(proj, c, s_basis, r)
+    _verify_projection(proj, c, s_basis, summand)
     return proj
 
 
-def _verify_projection(proj: IntMatrix, c: IntMatrix, s_basis: IntMatrix, r: int) -> None:
+def _verify_projection(proj: IntMatrix, c: IntMatrix, s_basis: IntMatrix, summand: Lattice) -> None:
     if proj @ proj != proj:
         raise InternalInvariantError("projection is not idempotent")
     if proj @ c != c @ proj:
         raise InternalInvariantError("projection does not commute with the action")
     if proj @ s_basis != s_basis:
         raise InternalInvariantError("projection must fix the summand")
-    if Lattice(r, s_basis).solve(proj) is None:
+    if summand.solve(proj) is None:
         raise InternalInvariantError("projection must land in the summand")
 
 
@@ -322,8 +322,8 @@ def inclusion_diagram(pair: InclusionPair, k_max: int = 4, seed: int = 0) -> Dia
     if impurity is not None:
         return DiagramReport(False, None, impurity)
 
-    row0 = stabilize_presentation(pair.sub.module, k_max=k_max, seed=seed)
-    row = stabilize_presentation(pair.M, k_max=k_max, seed=seed, k_min=row0.k)
+    row0 = _stabilize(pair.pres0, k_max, seed, 0)
+    row = _stabilize(pair.pres, k_max, seed, row0.k)
     p = pair.p
     m = pair.pres.size
     big = m + row.k * p

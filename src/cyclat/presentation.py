@@ -459,10 +459,11 @@ def _candidate_pool(r: int, rng: random.Random) -> list[tuple[int, ...]]:
 
 
 def _extract_orbits(c: IntMatrix, p: int, target: int, rng: random.Random):
-    """Greedy selection of `target` orbits spanning a primitive sublattice."""
-    if target == 0:
-        return []
+    """`target` orbits spanning a primitive sublattice, greedily, and their Smith U; or None."""
     r = c.rows
+    u = IntMatrix.identity(r)
+    if target == 0:
+        return [], u
     pool = _candidate_pool(r, rng)
     chosen: list[tuple[int, ...]] = []
     blocks: list[tuple[tuple[int, ...], ...]] = []
@@ -479,28 +480,20 @@ def _extract_orbits(c: IntMatrix, p: int, target: int, rng: random.Random):
             res = snf(IntMatrix.from_cols(cand, rows=r))
             if res.rank != len(cand) or any(d != 1 for d in res.diag[: res.rank]):
                 continue
-            chosen, blocks = cand, blocks + [tuple(orb)]
+            chosen, blocks, u = cand, blocks + [tuple(orb)], res.u
             progress = True
-    return blocks if len(blocks) == target else None
+    return (blocks, u) if len(blocks) == target else None
 
 
-def _complete_with_fixed(c: IntMatrix, blocks, fix: Lattice):
-    """Fixed vectors extending the chosen orbits to a basis of Z^r."""
-    r = c.rows
-    chosen = [v for blk in blocks for v in blk]
-    if chosen:
-        res = snf(IntMatrix.from_cols(chosen, rows=r))
-        if any(d != 1 for d in res.diag[: res.rank]):
-            return None
-        u = res.u
-    else:
-        u = IntMatrix.identity(r)
-    need = r - len(chosen)
+def _complete_with_fixed(u: IntMatrix, chosen: int, fix: Lattice):
+    """Fixed vectors completing `chosen` primitive vectors of Smith row transform u to a basis."""
+    r = u.rows
+    need = r - chosen
     if need == 0:
         return []
     if fix.rank == 0:
         return None
-    proj = u.submatrix(range(len(chosen), r), range(r))
+    proj = u.submatrix(range(chosen, r), range(r))
     sol = solve_columns(proj @ fix.basis, IntMatrix.identity(need))
     if sol is None:
         return None
@@ -519,10 +512,11 @@ def _greedy_basis(
     if rem:
         return None, 0
     for attempt in range(1, GREEDY_ATTEMPTS + 1):
-        blocks = _extract_orbits(c, eq.p, orbit_count, rng)
-        if blocks is None:
+        found = _extract_orbits(c, eq.p, orbit_count, rng)
+        if found is None:
             continue
-        fixed = _complete_with_fixed(c, blocks, fix)
+        blocks, u = found
+        fixed = _complete_with_fixed(u, orbit_count * eq.p, fix)
         if fixed is None:
             continue
         bas = eq.lattice.basis
@@ -602,7 +596,12 @@ def stabilize_presentation(
     k_min forces at least that many regular blocks, which keeps two rows
     comparable when one needed stabilization and the other did not.
     """
-    aug = build_aug(M)
+    return _stabilize(build_aug(M), k_max, seed, k_min)
+
+
+def _stabilize(aug: AugPresentation, k_max: int, seed: int, k_min: int) -> StabilizedPresentation:
+    """stabilize_presentation for the module that aug already presents."""
+    M = aug.M
     k, n1 = find_invariant_basis(
         aug.kernel_pair(), allow_stabilization=True, k_max=max(k_max, k_min), seed=seed
     )

@@ -58,7 +58,8 @@ def test_graph_verify_computes_k_and_inverse_once(monkeypatch, capsys):
     rc = run_cli(capsys, "graph", "verify", "--file", str(DATA / "group_z5.json"), "--p", "2")
     assert rc == 0
     assert len(k_calls) == 1
-    assert len(inv_calls) == 1
+    # snf builds the inverse of its row transform alongside it
+    assert len(inv_calls) == 0
 
 
 def test_graph_build_checks_irreducibility_once(monkeypatch, capsys):
@@ -98,6 +99,18 @@ def test_inclusion_decides_twist_condition_once(monkeypatch, capsys, action):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "spec,sub,p,presented",
+    [("cyclicR(2,1)", "full", "2", 2), ("cyclicR(2,1)+triv(2)", "t", "3", 4)],
+)
+def test_inclusion_diagram_presents_each_module_once(monkeypatch, capsys, spec, sub, p, presented):
+    calls = count_calls(monkeypatch, cyclat.presentation, "build_aug")
+    assert run_cli(capsys, "inclusion", "diagram", spec, "--sub", sub, "--p", p) == 0
+    # the pair presents M and M_0 and both stabilized rows reuse them; the
+    # second case adds the two leaves of the constructive route for M
+    assert len(calls) == presented
+
+
 def test_graph_verify_validates_group_once(monkeypatch, capsys):
     # each validation of a group description builds the group as one FinMod
     calls = count_calls(monkeypatch, FinMod, "__init__")
@@ -123,9 +136,9 @@ def test_graph_ktheory_reads_k1_off_the_smith_transform(monkeypatch, capsys):
     hnfs = count_calls(monkeypatch, cyclat.intlinalg, "hnf")
     assert run_cli(capsys, "graph", "ktheory", "--strand", "4", "--p", "3") == 0
     assert len(kernels) == 0
-    # inv_unimodular for the K0 action and the K1 action solve; the canonical
-    # K1 basis is a Lattice, which no longer goes through hnf
-    assert len(hnfs) == 2
+    # snf returns U^-1 for the K0 action, and the K1 action is solved
+    # against the kernel's Lattice, whose basis is already in Hermite form
+    assert len(hnfs) == 0
 
 
 def test_lattice_bases_do_not_build_the_hnf_transform(monkeypatch):

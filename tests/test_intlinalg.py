@@ -426,6 +426,7 @@ class TestSnf:
     def test_transforms_and_divisibility(self, a):
         r = snf(a)
         assert r.u @ a @ r.v == r.s
+        assert r.u_inv @ r.u == IntMatrix.identity(a.rows) == r.u @ r.u_inv
         d = r.diag
         for x, y in zip(d, d[1:]):
             assert x >= 0 and y >= 0
@@ -448,7 +449,7 @@ class TestSnf:
 
 
 def _dense_snf_reference(a: IntMatrix) -> SnfResult:
-    """Smith normal form with both transforms, deterministic pivoting."""
+    """Smith normal form with both transforms, deterministic pivoting; U^-1 by inv_unimodular."""
     m, n = a.rows, a.cols
     s = [list(row) for row in a.entries()]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -525,9 +526,8 @@ def _dense_snf_reference(a: IntMatrix) -> SnfResult:
         if all(s[i][j] == 0 for i in range(k, m) for j in range(k, n)):
             break
 
-    res = SnfResult(
-        IntMatrix(u, shape=(m, m)), IntMatrix(s, shape=(m, n)), IntMatrix(v, shape=(n, n))
-    )
+    u = IntMatrix(u, shape=(m, m))
+    res = SnfResult(u, IntMatrix(s, shape=(m, n)), IntMatrix(v, shape=(n, n)), inv_unimodular(u))
     if res.u @ a @ res.v != res.s:
         raise InternalInvariantError("snf transform identity failed")
     return res
@@ -582,6 +582,8 @@ class TestSnfOracle:
         assert got.u == want.u
         assert got.s == want.s
         assert got.v == want.v
+        # U^-1 from the sparse elimination against an hnf inversion of the dense U
+        assert got.u_inv == want.u_inv
 
     @given(snf_inputs())
     @settings(max_examples=400, deadline=None)

@@ -195,6 +195,21 @@ class TestProjection:
         pair = pair_of(m, span)
         assert find_equivariant_projection(pair.N0, pair.eq()) is not None
 
+    SWAP = IntMatrix([[0, 1], [1, 0]])
+
+    def test_summand_outside_the_lattice(self):
+        # (1, 0) escapes 2 Z^2 and is not swap-invariant; the containment check comes first
+        eq = EquivariantLattice(2, Lattice(2, 2 * IntMatrix.identity(2)), self.SWAP)
+        with pytest.raises(PreconditionError, match="inside the lattice"):
+            find_equivariant_projection(Lattice.spanned_by([(1, 0)], 2), eq)
+
+    def test_summand_not_action_invariant(self):
+        eq = EquivariantLattice(2, Lattice.full(2), self.SWAP)
+        with pytest.raises(PreconditionError, match="not action-invariant"):
+            find_equivariant_projection(Lattice.spanned_by([(1, 0)], 2), eq)
+        # the diagonal is invariant, so the same lattice gets past both checks
+        assert find_equivariant_projection(Lattice.spanned_by([(1, 1)], 2), eq) is None
+
     def test_matches_twist_condition(self):
         for text in ("triv(4)", "cyclicR(2,1)", "triv(2) + triv(2)"):
             m = build(parse_modspec(text), 2)
