@@ -183,8 +183,9 @@ def cmd_module(cfg: WorkbenchConfig, args) -> tuple[Report, int]:
     rep.put("spec", args.spec)
 
     if args.action == "build":
-        inv = m.invariants()
+        # listing the orbits refuses an oversize module before any Smith form
         free, fixed = _orbit_summary(m)
+        inv = m.invariants()
         rep.say(f"module: {args.spec} over p = {cfg.p}")
         rep.say(f"structure: {m.describe()}")
         rep.say(f"order: {m.order()}")

@@ -111,11 +111,9 @@ class RingElt:
         return all(c == 0 for c in self.coeffs)
 
     def matrix(self) -> IntMatrix:
-        """Multiplication-by-self in the basis 1, x, ..., x^{p-1}."""
+        """Multiplication-by-self in the basis 1, x, ..., x^{p-1}: self on the shift x."""
         p = self.p
-        return IntMatrix(
-            tuple(tuple(self.coeffs[(i - j) % p] for j in range(p)) for i in range(p))
-        )
+        return self.on(IntMatrix.unit_columns(p, [(j + 1) % p for j in range(p)]))
 
     def on(self, action: IntMatrix) -> IntMatrix:
         """The operator sum_e c_e action^e, for an action of order dividing p."""

@@ -8,7 +8,10 @@ where Z^M is free on the elements of M (basis written x-hat), the middle
 map sends x-hat to x, and the group acts on Z^M by permuting the basis.
 This module builds that row, constructs explicit bases of N that split
 into free orbits and fixed vectors, and stabilizes by regular summands
-when a direct search needs the extra room.
+when a direct search needs the extra room.  For a direct sum of Z/n and
+R/(q^k) leaves the split basis is read off in one pass over the module's
+own element orbits: 0-hat, each leaf's vectors, and the cross vectors
+that tie each leaf to the leaves before it.
 """
 
 from __future__ import annotations
@@ -189,7 +192,8 @@ def build_aug(M: FinMod) -> AugPresentation:
     """Present a finite module by the free abelian group on its elements."""
     if not M.is_finite():
         raise PreconditionError("only finite modules have a finite element basis")
-    elements, pi = _element_basis(M)
+    elements = tuple(M.enumerate())
+    pi = IntMatrix.from_cols(elements, rows=M.r)
     m = len(elements)
     action = IntMatrix.unit_columns(m, M.action_permutation())
     n = M.rel.preimage(pi)
@@ -202,23 +206,6 @@ def build_aug(M: FinMod) -> AugPresentation:
     except PreconditionError as exc:
         raise InternalInvariantError(f"presentation kernel rejected: {exc}") from exc
     return AugPresentation(M, elements, pi, kernel)
-
-
-def _element_basis(M: FinMod) -> tuple[tuple[tuple[int, ...], ...], IntMatrix]:
-    """The elements of M in basis order and the matrix with them as columns."""
-    elements = tuple(M.enumerate())
-    return elements, IntMatrix.from_cols(elements, rows=M.r)
-
-
-def _present(M: FinMod, given: Optional[AugPresentation]) -> AugPresentation:
-    """build_aug(M), or `given` when it already presents the very same module.
-
-    Equal p, relations and automorphism matrix give the same element order,
-    action and kernel, so the presentation can be taken as it is.
-    """
-    if given is not None and (given.M.p, given.M.rel, given.M.aut) == (M.p, M.rel, M.aut):
-        return given
-    return build_aug(M)
 
 
 class InvariantBasis:
@@ -302,26 +289,60 @@ def cyclic_r_basis(q: int, k: int, p: int) -> InvariantBasis:
 
 
 def _leaf_basis(pres: AugPresentation) -> InvariantBasis:
-    """Kernel basis of the presentation of a leaf, Z/n or R/(q^k).
+    """Kernel basis of the presentation of a leaf, Z/n or R/(q^k): 0-hat, then _leaf_vectors."""
+    M = pres.M
+    fixed, blocks = _leaf_vectors(M, M.orbits(), 0, M.r)
+    return InvariantBasis(M.p, pres.action, pres.N, blocks, [pres.hat((0,) * M.r)] + fixed)
 
-    The leaf is Z^r / d Z^r with generators g_i = e_i reduced: one for Z/n
-    (d = n; for Z/1 it is 0), the p shifts for R/(q^k) (d = q^k).  First
-    xi_x = x-hat - sum x_i g_i-hat for every element x outside the
-    generators, split into orbits and fixed vectors along the element
-    orbits (xi_0 = 0-hat comes first); then d g_i-hat, one fixed vector
-    for Z/n and one free orbit for R/(q^k).
+
+def _leaf_vectors(M: FinMod, orbits, s: int, e: int):
+    """Fixed vectors and orbit blocks of the leaf on coordinates [s, e) of M, 0-hat left out.
+
+    The leaf is Z^(e-s) / d Z^(e-s) with generators g_i = e_i reduced: one
+    for Z/n (d = n), the p shifts for R/(q^k) (d = q^k).  First xi_x =
+    x-hat - sum x_i g_i-hat for every nonzero leaf element x outside the
+    generators, split along the element orbits; then d g_i-hat, one fixed
+    vector for Z/n and one free orbit for R/(q^k).  Z/1 has only the
+    element 0, which is its generator, so it adds nothing.  The vectors
+    are in M's element coordinates; orbits is M.orbits().
     """
-    M, m = pres.M, pres.size
-    gens = [M.reduce(_unit(M.r, i)) for i in range(M.r)]
-    gen_idx = [pres.index(g) for g in gens]
-    d = M.rel.basis[0, 0]
+    m = len(M.enumerate())
+    gens = [M.reduce(_unit(M.r, i)) for i in range(s, e)]
+    gen_idx = [M.index_of(g) for g in gens]
+    d = M.rel.basis[s, s]
 
     def xi(x: tuple[int, ...]) -> tuple[int, ...]:
-        return _vector(m, [(pres.index(x), 1)] + [(g, -c) for g, c in zip(gen_idx, x)])
+        return _vector(m, [(M.index_of(x), 1)] + [(g, -c) for g, c in zip(gen_idx, x[s:e])])
 
-    fixed, blocks = _split_orbits((o for o in M.orbits() if o[0] not in gens), xi)
-    gen_fixed, gen_blocks = _split_orbits([gen_idx], lambda i: _vector(m, [(i, d)]))
-    return InvariantBasis(M.p, pres.action, pres.N, blocks + gen_blocks, fixed + gen_fixed)
+    own = (
+        o for o in orbits
+        if any(o[0][s:e]) and not any(o[0][:s]) and not any(o[0][e:]) and o[0] not in gens
+    )
+    fixed, blocks = _split_orbits(own, xi)
+    if any(gens[0]):  # the generator of Z/1 is 0
+        gen_fixed, gen_blocks = _split_orbits([gen_idx], lambda i: _vector(m, [(i, d)]))
+        fixed += gen_fixed
+        blocks += gen_blocks
+    return fixed, blocks
+
+
+def _cross_vectors(M: FinMod, orbits, s: int, e: int):
+    """Fixed vectors and orbit blocks tying coordinates [s, e) of M to [0, s).
+
+    One xi_x = x-hat - (x[:s], 0)-hat - (0, x[s:e], 0)-hat for each element
+    x supported on [0, e) with both parts nonzero; none when s = 0.  The
+    vectors are in M's element coordinates; orbits is M.orbits().
+    """
+    m = len(M.enumerate())
+    zero = (0,) * M.r
+
+    def xi(x: tuple[int, ...]) -> tuple[int, ...]:
+        left = x[:s] + zero[s:]
+        right = zero[:s] + x[s:e] + zero[e:]
+        return _vector(m, [(M.index_of(x), 1), (M.index_of(left), -1), (M.index_of(right), -1)])
+
+    crossing = (o for o in orbits if any(o[0][:s]) and any(o[0][s:e]) and not any(o[0][e:]))
+    return _split_orbits(crossing, xi)
 
 
 def free_r_xi_window(p: int, xs: Sequence[Sequence[int]]):
@@ -357,23 +378,10 @@ def assemble_direct_sum(
     b1: InvariantBasis,
     b2: InvariantBasis,
 ) -> InvariantBasis:
-    """Kernel basis of a direct sum from kernel bases of the summands."""
-    return _assemble(p1, p2, b1, b2)[1]
+    """Kernel basis of a direct sum from kernel bases of the summands.
 
-
-def _assemble(
-    p1: AugPresentation,
-    p2: AugPresentation,
-    b1: InvariantBasis,
-    b2: InvariantBasis,
-    whole: Optional[AugPresentation] = None,
-) -> tuple[AugPresentation, InvariantBasis]:
-    """The presentation of the direct sum and its kernel basis built from the summands'.
-
-    `whole` is a presentation that may already be the sum's; see _present.
-    Z 0-hat, the two embedded bases with their zero-hats dropped, and one
-    cross vector xi_x = x-hat - x1-hat - x2-hat for each element x with
-    both components nonzero.
+    Z 0-hat, the two embedded bases with their zero-hats dropped, and the
+    cross vectors of the sum (see _cross_vectors).
     """
     if p1.M.p != p2.M.p:
         raise PreconditionError("summands live over different group orders")
@@ -382,66 +390,49 @@ def _assemble(
     _check_assembly_convention(b1, p1)
     _check_assembly_convention(b2, p2)
 
-    msum = direct_sum(p1.M, p2.M)
-    psum = _present(msum, whole)
-    m = psum.size
+    psum = build_aug(direct_sum(p1.M, p2.M))
+    msum, m = psum.M, psum.size
     r1 = p1.M.r
-
-    def left(x1):
-        return psum.index(tuple(x1) + (0,) * p2.M.r)
-
-    def right(x2):
-        return psum.index((0,) * r1 + tuple(x2))
-
-    e1 = IntMatrix.unit_columns(m, [left(x) for x in p1.elements])
-    e2 = IntMatrix.unit_columns(m, [right(x) for x in p2.elements])
+    e1 = IntMatrix.unit_columns(m, [psum.index(tuple(x) + (0,) * p2.M.r) for x in p1.elements])
+    e2 = IntMatrix.unit_columns(m, [psum.index((0,) * r1 + tuple(x)) for x in p2.elements])
 
     fixed = [_unit(m, psum.zero_index)]
     fixed += [e1.apply(v) for v in b1.fixed_vectors[1:]]
     fixed += [e2.apply(v) for v in b2.fixed_vectors[1:]]
     blocks = [tuple(e1.apply(v) for v in blk) for blk in b1.orbit_blocks]
     blocks += [tuple(e2.apply(v) for v in blk) for blk in b2.orbit_blocks]
-
-    def xi(x):
-        return _vector(m, [(psum.index(x), 1), (left(x[:r1]), -1), (right(x[r1:]), -1)])
-
-    crossing = (o for o in msum.orbits() if any(o[0][:r1]) and any(o[0][r1:]))
-    cross_fixed, cross_blocks = _split_orbits(crossing, xi)
-    fixed += cross_fixed
-    blocks += cross_blocks
-    return psum, InvariantBasis(psum.M.p, psum.action, psum.N, blocks, fixed)
-
-
-def _shape_basis(shape, p: int, whole: Optional[AugPresentation] = None):
-    """Presentation and constructive kernel basis for a finite shape tree.
-
-    `whole` may present the module of the whole tree; it is used in place
-    of presenting that module again (see _present).
-    """
-    if isinstance(shape, (TrivCyclic, CyclicR)):
-        pres = _present(build(shape, p), whole)
-        return pres, _leaf_basis(pres)
-    if isinstance(shape, DirectSum):
-        pres, basis = _shape_basis(shape.parts[0], p)
-        for i, part in enumerate(shape.parts[1:], 2):
-            nxt_pres, nxt_basis = _shape_basis(part, p)
-            last = whole if i == len(shape.parts) else None
-            pres, basis = _assemble(pres, nxt_pres, basis, nxt_basis, last)
-        return pres, basis
-    raise PreconditionError("shape has no finite presentation")
+    cross_fixed, cross_blocks = _cross_vectors(msum, msum.orbits(), r1, msum.r)
+    return InvariantBasis(msum.p, psum.action, psum.N, blocks + cross_blocks, fixed + cross_fixed)
 
 
 def _constructive_basis(eq: EquivariantLattice) -> Optional[InvariantBasis]:
+    """The split basis of a direct sum of Z/n and R/(q^k) leaves, or None.
+
+    Applies when eq presents its provenance M and M is the module
+    build(M.shape, p) of such a sum.  One pass over M's element orbits
+    gives the vectors of the left fold of assemble_direct_sum over the
+    leaf bases, in the same order, with no leaf or partial sum presented:
+    0-hat, then for each leaf on coordinates [s, e) its own vectors and
+    the cross vectors tying it to [0, s).
+    """
     M = eq.provenance
-    if M.shape is None:
+    leaves = M.shape.parts if isinstance(M.shape, DirectSum) else (M.shape,)
+    if not all(isinstance(leaf, (TrivCyclic, CyclicR)) for leaf in leaves):
         return None
-    try:
-        pres, basis = _shape_basis(M.shape, eq.p, AugPresentation(M, *_element_basis(M), eq))
-    except PreconditionError:
+    ref = build(M.shape, M.p)
+    if (M.rel, M.aut) != (ref.rel, ref.aut):
         return None
-    if pres.N == eq.lattice and pres.action == eq.action:
-        return basis
-    return None
+    orbits = M.orbits()
+    fixed, blocks = [_unit(eq.lattice.ambient, M.index_of((0,) * M.r))], []
+    s = 0
+    for leaf in leaves:
+        e = s + (1 if isinstance(leaf, TrivCyclic) else M.p)
+        for vectors in (_leaf_vectors, _cross_vectors):
+            more_fixed, more_blocks = vectors(M, orbits, s, e)
+            fixed += more_fixed
+            blocks += more_blocks
+        s = e
+    return InvariantBasis(eq.p, eq.action, eq.lattice, blocks, fixed)
 
 
 def _orbit_of(c: IntMatrix, v: tuple[int, ...], p: int) -> list[tuple[int, ...]]:

@@ -174,7 +174,7 @@ class FinMod:
     be infinite (rel not of full rank); enumeration then refuses.
     """
 
-    __slots__ = ("p", "r", "rel", "aut", "shape", "_elems", "_index", "_perm")
+    __slots__ = ("p", "r", "rel", "aut", "shape", "_elems", "_index", "_perm", "_invariants")
 
     def __init__(self, p: int, r: int, rel: Lattice, aut: IntMatrix, shape=None):
         if not is_prime(p):
@@ -195,6 +195,7 @@ class FinMod:
         object.__setattr__(self, "_elems", None)
         object.__setattr__(self, "_index", None)
         object.__setattr__(self, "_perm", None)
+        object.__setattr__(self, "_invariants", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FinMod is immutable")
@@ -210,7 +211,9 @@ class FinMod:
         return self.rel.index()
 
     def invariants(self) -> QuotientInvariants:
-        return quotient_invariants(self.r, self.rel)
+        if self._invariants is None:
+            object.__setattr__(self, "_invariants", quotient_invariants(self.r, self.rel))
+        return self._invariants
 
     def is_trivial_action(self) -> bool:
         return self.rel.solve(self.twist_matrix) is not None

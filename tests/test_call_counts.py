@@ -74,13 +74,26 @@ def test_module_build_lists_orbits_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_module_build_refuses_an_oversize_module_before_the_smith_form(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, cyclat.intlinalg, "snf")
+    assert run_cli(capsys, "module", "build", "cyclicR(2,1)", "--p", "101") == 65
+    assert len(calls) == 0
+
+
+def test_module_build_runs_the_smith_form_once(monkeypatch, capsys):
+    # the invariant factors printed and the structure line share one snf
+    calls = count_calls(monkeypatch, cyclat.intlinalg, "snf")
+    assert run_cli(capsys, "module", "build", "cyclicR(2,1) + triv(3)", "--p", "2") == 0
+    assert len(calls) == 1
+
+
 def test_constructive_basis_presents_each_shape_once(monkeypatch, capsys):
     calls = count_calls(monkeypatch, cyclat.presentation, "build_aug")
     rc = run_cli(capsys, "module", "invariant-basis", "cyclicR(2,1)+triv(2)", "--p", "5")
     assert rc == 0
-    # the whole sum, presented once for the command and reused by the
-    # constructive route, and the two leaves
-    assert len(calls) == 3
+    # the whole sum, presented once for the command; the constructive route
+    # reads the leaves' vectors off its orbits without presenting them
+    assert len(calls) == 1
 
 
 def test_constructive_basis_reuses_a_leaf_presentation(monkeypatch):
@@ -101,13 +114,12 @@ def test_inclusion_decides_twist_condition_once(monkeypatch, capsys, action):
 
 @pytest.mark.parametrize(
     "spec,sub,p,presented",
-    [("cyclicR(2,1)", "full", "2", 2), ("cyclicR(2,1)+triv(2)", "t", "3", 4)],
+    [("cyclicR(2,1)", "full", "2", 2), ("cyclicR(2,1)+triv(2)", "t", "3", 2)],
 )
 def test_inclusion_diagram_presents_each_module_once(monkeypatch, capsys, spec, sub, p, presented):
     calls = count_calls(monkeypatch, cyclat.presentation, "build_aug")
     assert run_cli(capsys, "inclusion", "diagram", spec, "--sub", sub, "--p", p) == 0
-    # the pair presents M and M_0 and both stabilized rows reuse them; the
-    # second case adds the two leaves of the constructive route for M
+    # the pair presents M and M_0 and both stabilized rows reuse them
     assert len(calls) == presented
 
 

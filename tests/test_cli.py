@@ -217,6 +217,15 @@ def test_module_invariant_basis_structured_golden(capsys):
     assert out == golden("invariant_basis_cyclicR21_p2.json")
 
 
+def test_module_invariant_basis_three_leaves_golden(capsys):
+    # 24 elements: the constructive basis of a sum with leaves on both sides
+    # of a free one, so each of its cross-vector families is printed
+    spec = "triv(2)+cyclicR(2,1)+triv(3)"
+    rc, out, _ = run_cli(capsys, "module", "invariant-basis", spec, "--p", "2")
+    assert rc == 0
+    assert out == golden("invariant_basis_triv2_cyclicR21_triv3_p2.txt")
+
+
 def test_module_check_noncyclotomic_true(capsys):
     rc, out, _ = run_cli(capsys, "module", "check-noncyc", "triv(4)", "--p", "2")
     assert rc == 0

@@ -68,6 +68,13 @@ class TestRingBasics:
     def test_on_the_shift_is_the_regular_representation(self, lam):
         assert lam.on(generator(lam.p).matrix()) == lam.matrix()
 
+    @given(st.sampled_from(PRIMES).flatmap(ring_elts))
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_is_the_circulant_of_the_coefficients(self, lam):
+        # entry (i, j) is the coefficient of x^(i - j), built here densely
+        p = lam.p
+        assert lam.matrix().tolist() == [[lam.coeffs[(i - j) % p] for j in range(p)] for i in range(p)]
+
     def test_str_is_the_polynomial_text(self):
         assert str(elt(3, 1, -1, 2)) == "1 - x + 2*x^2"
         assert str(const(5, 0)) == "0"

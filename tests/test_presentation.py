@@ -28,7 +28,16 @@ from cyclat.presentation import (
     free_r_xi_window,
     stabilize_presentation,
 )
-from cyclat.zmod import CyclicR, FinMod, TrivCyclic, build, parse_modspec, random_module
+from cyclat.zmod import (
+    CyclicR,
+    DirectSum,
+    FinMod,
+    TrivCyclic,
+    build,
+    direct_sum,
+    parse_modspec,
+    random_module,
+)
 
 
 def mult_by(p, n, u):
@@ -354,6 +363,53 @@ class TestAssemble:
         b2 = cyclic_trivial_basis(3, 2)
         with pytest.raises(PreconditionError):
             assemble_direct_sum(p1, p2, b2, b2)
+
+
+def _fold_leaf_basis(leaf, p: int) -> InvariantBasis:
+    if isinstance(leaf, TrivCyclic):
+        return cyclic_trivial_basis(leaf.n, p)
+    return cyclic_r_basis(leaf.q, leaf.k, p)
+
+
+def _seeded_fold_shapes(count: int, seed: int = 7, max_order: int = 64):
+    """Distinct shapes of 1 to 3 leaves, Z/1 among them, at p in {2, 3, 5} and of order <= max_order."""
+    rng = random.Random(seed)
+    leaves = [TrivCyclic(n) for n in range(1, 5)] + [CyclicR(2, 1), CyclicR(3, 1)]
+    shapes = [(parse_modspec("triv(1)"), 2), (parse_modspec("triv(1) + cyclicR(2,1) + triv(1)"), 3)]
+    while len(shapes) < count:
+        p = rng.choice((2, 3, 5))
+        parts = tuple(rng.choice(leaves) for _ in range(rng.randint(1, 3)))
+        shape = parts[0] if len(parts) == 1 else DirectSum(parts)
+        if (shape, p) not in shapes and build(shape, p).order() <= max_order:
+            shapes.append((shape, p))
+    return shapes
+
+
+_FOLD_SHAPES = _seeded_fold_shapes(32)
+
+
+class TestConstructiveBasisFoldOracle:
+    """The one-pass constructive basis against the left fold of
+    assemble_direct_sum over the separately presented leaf bases."""
+
+    @pytest.mark.parametrize("shape,p", _FOLD_SHAPES, ids=[f"{s}-p{p}" for s, p in _FOLD_SHAPES])
+    def test_same_basis_in_the_same_order(self, shape, p):
+        leaves = shape.parts if isinstance(shape, DirectSum) else (shape,)
+        pres = build_aug(build(leaves[0], p))
+        want = _fold_leaf_basis(leaves[0], p)
+        for leaf in leaves[1:]:
+            nxt = build_aug(build(leaf, p))
+            want = assemble_direct_sum(pres, nxt, want, _fold_leaf_basis(leaf, p))
+            pres = build_aug(direct_sum(pres.M, nxt.M))
+        k, got = find_invariant_basis(build_aug(build(shape, p)).kernel_pair())
+        assert k == 0
+        assert got.orbit_blocks == want.orbit_blocks
+        assert got.fixed_vectors == want.fixed_vectors
+
+    def test_shapes_cover_each_leaf_count_and_p(self):
+        counts = {len(s.parts) if isinstance(s, DirectSum) else 1 for s, _ in _FOLD_SHAPES}
+        assert counts == {1, 2, 3}
+        assert {p for _, p in _FOLD_SHAPES} == {2, 3, 5}
 
 
 class TestFindInvariantBasis:
