@@ -11,6 +11,9 @@ Every command accepts the shared flags --p, --depth, --seed, --kmax and
 --format.  With --format structured the output is a single JSON document,
 byte-identical across runs with the same invocation and seed.
 
+The argument parser is built on the first call of main and reused by every
+later call in the same process; parsing leaves it unchanged.
+
 Exit codes: 0 success (and checked property true), 1 checked property
 false, 64 usage or parse error, 65 bad mathematical input, 75 randomized
 search exhausted, 2 internal invariant failure.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -551,6 +555,7 @@ def cmd_graph(cfg: WorkbenchConfig, args) -> tuple[Report, int]:
 # entry point
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cyclat", description=__doc__ and __doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InternalInvariantError, PreconditionError
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, _addmul
 
 
 def is_prime(n: int) -> bool:
@@ -118,15 +118,17 @@ class RingElt:
     def on(self, action: IntMatrix) -> IntMatrix:
         """The operator sum_e c_e action^e, for an action of order dividing p."""
         n = action.rows
-        out = IntMatrix.zeros(n, n)
+        out = [{} for _ in range(n)]
         power = IntMatrix.identity(n)
         last = max((e for e, c in enumerate(self.coeffs) if c), default=0)
         for e in range(last + 1):
             if e:
                 power = action if e == 1 else action @ power
-            if self.coeffs[e]:
-                out = out + self.coeffs[e] * power
-        return out
+            c = self.coeffs[e]
+            if c:
+                for acc, row in zip(out, power._ent):
+                    _addmul(acc, row, c)
+        return IntMatrix._wrap(out, n, n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingElt):

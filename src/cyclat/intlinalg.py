@@ -343,7 +343,8 @@ def _hermite_columns(cols: list[dict[int, int]], m: int) -> list[int]:
 
     Pivots only on rows < m; rows from m on just follow the column operations.
     Pivot of row i: the smallest |entry| in the columns from the current pivot
-    on (ties: the first); the others are reduced by it until it is alone.
+    on (ties: the first); the others are reduced by it until it is alone.  A
+    unit pivot is found by the first |entry| 1 and leaves it alone in one pass.
     """
     n = len(cols)
     pivot_rows = []
@@ -355,7 +356,15 @@ def _hermite_columns(cols: list[dict[int, int]], m: int) -> list[int]:
         if not live:
             continue
         while True:
-            j0 = min(live, key=lambda j: (abs(cols[j][i]), j))
+            j0 = live[0]
+            a = abs(cols[j0][i])
+            if a != 1:
+                for j in live:
+                    b = abs(cols[j][i])
+                    if b < a:
+                        j0, a = j, b
+                        if b == 1:
+                            break
             if len(live) == 1:
                 break
             for j in live:
@@ -363,6 +372,8 @@ def _hermite_columns(cols: list[dict[int, int]], m: int) -> list[int]:
                     q = cols[j][i] // cols[j0][i]
                     if q:
                         _addmul(cols[j], cols[j0], -q)
+            if a == 1:
+                break
             # columns outside live stay zero in row i, and j0 stays nonzero
             live = [j for j in live if i in cols[j]]
         cols[piv], cols[j0] = cols[j0], cols[piv]
@@ -370,9 +381,10 @@ def _hermite_columns(cols: list[dict[int, int]], m: int) -> list[int]:
             cols[piv] = {r: -x for r, x in cols[piv].items()}
         p = cols[piv][i]
         for j in range(piv):
-            q = cols[j].get(i, 0) // p
-            if q:
-                _addmul(cols[j], cols[piv], -q)
+            if i in cols[j]:
+                q = cols[j][i] // p
+                if q:
+                    _addmul(cols[j], cols[piv], -q)
         pivot_rows.append(i)
     return pivot_rows
 

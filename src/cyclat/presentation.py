@@ -409,18 +409,27 @@ def _constructive_basis(eq: EquivariantLattice) -> Optional[InvariantBasis]:
     """The split basis of a direct sum of Z/n and R/(q^k) leaves, or None.
 
     Applies when eq presents its provenance M and M is the module
-    build(M.shape, p) of such a sum.  One pass over M's element orbits
-    gives the vectors of the left fold of assemble_direct_sum over the
-    leaf bases, in the same order, with no leaf or partial sum presented:
-    0-hat, then for each leaf on coordinates [s, e) its own vectors and
-    the cross vectors tying it to [0, s).
+    build(M.shape, p) of such a sum: relations the diagonal of the leaf
+    orders, the identity on each Z/n and the shift on each R/(q^k).  One
+    pass over M's element orbits gives the vectors of the left fold of
+    assemble_direct_sum over the leaf bases, in the same order, with no
+    leaf or partial sum presented: 0-hat, then for each leaf on coordinates
+    [s, e) its own vectors and the cross vectors tying it to [0, s).
     """
     M = eq.provenance
     leaves = M.shape.parts if isinstance(M.shape, DirectSum) else (M.shape,)
     if not all(isinstance(leaf, (TrivCyclic, CyclicR)) for leaf in leaves):
         return None
-    ref = build(M.shape, M.p)
-    if (M.rel, M.aut) != (ref.rel, ref.aut):
+    one, shift = IntMatrix.identity(1), generator(M.p).matrix()
+    orders, auts = [], []
+    for leaf in leaves:
+        if isinstance(leaf, TrivCyclic):
+            orders.append(leaf.n)
+            auts.append(one)
+        else:
+            orders += [leaf.q**leaf.k] * M.p
+            auts.append(shift)
+    if M.rel.basis != IntMatrix.diag(orders) or M.aut != IntMatrix.block_diag(*auts):
         return None
     orbits = M.orbits()
     fixed, blocks = [_unit(eq.lattice.ambient, M.index_of((0,) * M.r))], []

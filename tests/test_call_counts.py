@@ -6,6 +6,7 @@ how often the function ran.  A change that brings back a repeated
 computation fails here instead of only showing up as slower runs.
 """
 
+import argparse
 import pathlib
 import sys
 
@@ -44,6 +45,23 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     capsys.readouterr()
     return rc
+
+
+def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, argparse.ArgumentParser, "__init__")
+    cyclat.cli._build_parser.cache_clear()
+    assert run_cli(capsys, "ring-identities", "--p", "2") == 0
+    # the program parser, the shared flags and the four command parsers
+    assert len(calls) == 6
+    argvs = [
+        ("module", "check-noncyc", "cyclicR(2,2)", "--p", "2"),
+        ("inclusion", "check", "cyclicR(2,1)", "--sub", "full", "--p", "2"),
+        ("graph", "build", "--strand", "2"),
+        ("ring-identities", "--p", "3"),
+        ("module", "frobnicate", "cyclicR(2,1)"),
+    ]
+    assert [run_cli(capsys, *argv) for argv in argvs * 2] == [0, 0, 0, 0, 64] * 2
+    assert len(calls) == 6
 
 
 def test_module_present_decides_noncyclotomic_once(monkeypatch, capsys):
@@ -99,6 +117,16 @@ def test_constructive_basis_presents_each_shape_once(monkeypatch, capsys):
 def test_constructive_basis_reuses_a_leaf_presentation(monkeypatch):
     eq = build_aug(build(parse_modspec("cyclicR(2,1)"), 2)).kernel_pair()
     calls = count_calls(monkeypatch, cyclat.presentation, "build_aug")
+    k, _ = find_invariant_basis(eq)
+    assert k == 0
+    assert len(calls) == 0
+
+
+def test_constructive_basis_builds_no_module(monkeypatch):
+    # M's relations and action are compared with the leaves' diagonal and
+    # shifts directly, not with a module rebuilt from M's shape
+    eq = build_aug(build(parse_modspec("cyclicR(2,1)+triv(2)+triv(3)"), 3)).kernel_pair()
+    calls = count_calls(monkeypatch, FinMod, "__init__")
     k, _ = find_invariant_basis(eq)
     assert k == 0
     assert len(calls) == 0

@@ -1,8 +1,10 @@
 """Command line behavior: exit codes, output formats, golden files."""
 
+import importlib.util
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -16,6 +18,7 @@ from groupspecs import z2_degenerate
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 DATA = pathlib.Path(__file__).parent / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +61,54 @@ def test_help_raises_system_exit_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def _benchmark_session():
+    """(argv, exit code) of each command of the benchmark's cli session, loaded read-only."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return [(list(argv), rc) for argv, rc, *_ in mod.SESSION]
+
+
+def _run_each(capsys, argvs):
+    runs = []
+    for argv in argvs:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # --help
+            rc = exc.code
+        captured = capsys.readouterr()
+        runs.append((rc, captured.out, captured.err))
+    return runs
+
+
+def test_shared_parser_answers_as_a_fresh_one(monkeypatch, capsys):
+    # main reuses one parser per process: no value, default or error of one
+    # command may carry into the next
+    monkeypatch.chdir(ROOT)  # the session names its data files from the repo root
+    session = _benchmark_session()
+    assert len(session) == 28
+    z5 = str(DATA / "group_z5.json")
+    gens = ["inclusion", "check", "cyclicR(2,2)", "--sub", "gens", "--gens", "2,0;0,2", "--p", "2"]
+    groups = [[cmd] for cmd in session] + [
+        # a --p the file contradicts, then the file's own p
+        [(["graph", "verify", "--file", z5, "--p", "3"], 64), (["graph", "verify", "--file", z5], 0)],
+        # explicit generators, then the default twist image
+        [(gens, 0), (["inclusion", "check", "cyclicR(2,2)", "--p", "2"], 1)],
+        [(["module", "frobnicate", "cyclicR(2,1)"], 64)],
+        [(["--help"], 0), (["module", "--help"], 0)],
+    ]
+    random.Random(1).shuffle(groups)
+    cmds = [cmd for group in groups for cmd in group]
+    argvs = [argv for argv, _ in cmds]
+    shared = _run_each(capsys, argvs)
+    monkeypatch.setattr(cyclat.cli, "_build_parser", cyclat.cli._build_parser.__wrapped__)
+    fresh = _run_each(capsys, argvs)
+    for (argv, rc), got, want in zip(cmds, shared, fresh):
+        assert got == want, argv
+        assert got[0] == rc, argv
 
 
 def test_module_entrypoint_runs():
