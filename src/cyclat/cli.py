@@ -8,11 +8,17 @@ Four command groups:
     graph    ACTION        gadget graphs, K groups, group-graph verification
 
 Every command accepts the shared flags --p, --depth, --seed, --kmax and
---format.  With --format structured the output is a single JSON document,
-byte-identical across runs with the same invocation and seed.
+--format.  argparse holds their defaults and the --format choices; main
+checks the rest before any handler runs: --p prime (2 when omitted, except
+for graph commands, where a group file supplies its own p), --depth at
+least 2 and --kmax nonnegative.  Handlers read the parsed namespace.  With
+--format structured the output is a single JSON document, byte-identical
+across runs with the same invocation and seed.
 
 The argument parser is built on the first call of main and reused by every
-later call in the same process; parsing leaves it unchanged.
+later call in the same process; parsing leaves it unchanged.  _HANDLERS maps
+each command group to its module-level cmd_* function, and the benchmark's
+per-layer tracer wraps those names, so they stay.
 
 Exit codes: 0 success (and checked property true), 1 checked property
 false, 64 usage or parse error, 65 bad mathematical input, 75 randomized
@@ -22,7 +28,6 @@ search exhausted, 2 internal invariant failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -60,7 +65,7 @@ from .lattice_props import (
     inclusion_diagram,
 )
 from .presentation import build_aug, find_invariant_basis
-from .zmod import FinMod, build, parse_modspec
+from .zmod import FinMod, build, check_listable, parse_modspec, spec_order
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -68,27 +73,6 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_SEARCH_EXHAUSTED = 75
 EXIT_INTERNAL = 2
-
-
-@dataclasses.dataclass(frozen=True)
-class WorkbenchConfig:
-    """Validated shared options for one invocation."""
-
-    p: int = 2
-    depth: int = 3
-    seed: int = 0
-    kmax: int = 4
-    fmt: str = "text"
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ParseError(f"--p must be prime, got {self.p}")
-        if self.depth < 2:
-            raise ParseError(f"--depth must be at least 2, got {self.depth}")
-        if self.kmax < 0:
-            raise ParseError(f"--kmax must be nonnegative, got {self.kmax}")
-        if self.fmt not in ("text", "structured"):
-            raise ParseError(f"unknown format {self.fmt!r}")
 
 
 class Report:
@@ -108,8 +92,14 @@ class Report:
     def put(self, key: str, value) -> None:
         self.data[key] = value
 
-    def emit(self, cfg: WorkbenchConfig) -> None:
-        if cfg.fmt == "structured":
+    def fact(self, label: str, value) -> None:
+        """The line 'label: value' (booleans in lower case) and the key label
+        with '_' for each space."""
+        self.say(f"{label}: {str(value).lower() if isinstance(value, bool) else value}")
+        self.put(label.replace(" ", "_"), value)
+
+    def emit(self, fmt: str) -> None:
+        if fmt == "structured":
             sys.stdout.write(json.dumps(self.data, sort_keys=True, indent=2) + "\n")
         else:
             for line in self.lines:
@@ -150,19 +140,18 @@ def _matrix_json(m: IntMatrix) -> list:
 # ring-identities
 
 
-def cmd_ring_identities(cfg: WorkbenchConfig, args) -> tuple[Report, int]:
-    ids = decompose_prime(cfg.p)
+def cmd_ring_identities(args) -> tuple[Report, int]:
+    ids = decompose_prime(args.p)
     rep = Report("ring-identities")
-    rep.say(f"p = {cfg.p}")
+    rep.say(f"p = {args.p}")
     rep.say(f"core: {ids.core}")
-    rep.say(f"core at 1: {sum(ids.core.coeffs)}")
+    rep.fact("core at 1", sum(ids.core.coeffs))
     rep.say(f"twist_coeff: {ids.twist_coeff}")
     rep.say(f"norm_coeff: {ids.norm_coeff}")
-    ok = all(ids.twist_power_identity_holds(k) for k in range(1, cfg.kmax + 1))
-    rep.say(f"power identities up to k = {cfg.kmax}: {'ok' if ok else 'FAILED'}")
-    rep.put("p", cfg.p)
+    ok = all(ids.twist_power_identity_holds(k) for k in range(1, args.kmax + 1))
+    rep.say(f"power identities up to k = {args.kmax}: {'ok' if ok else 'FAILED'}")
+    rep.put("p", args.p)
     rep.put("core", list(ids.core.coeffs))
-    rep.put("core_at_1", sum(ids.core.coeffs))
     rep.put("twist_coeff", list(ids.twist_coeff.coeffs))
     rep.put("norm_coeff", list(ids.norm_coeff.coeffs))
     rep.put("substitution_steps", len(ids.steps))
@@ -180,22 +169,23 @@ def _orbit_summary(m: FinMod) -> tuple[int, int]:
     return len(orbits) - fixed, fixed
 
 
-def cmd_module(cfg: WorkbenchConfig, args) -> tuple[Report, int]:
-    m = build(parse_modspec(args.spec), cfg.p)
+def cmd_module(args) -> tuple[Report, int]:
+    shape = parse_modspec(args.spec)
+    order = spec_order(shape, args.p)
+    if order is not None:  # every action lists the elements: refuse before any matrix
+        check_listable(order)
+    m = build(shape, args.p)
     rep = Report(f"module-{args.action}")
-    rep.put("p", cfg.p)
+    rep.put("p", args.p)
     rep.put("spec", args.spec)
 
     if args.action == "build":
-        # listing the orbits refuses an oversize module before any Smith form
         free, fixed = _orbit_summary(m)
         inv = m.invariants()
-        rep.say(f"module: {args.spec} over p = {cfg.p}")
-        rep.say(f"structure: {m.describe()}")
-        rep.say(f"order: {m.order()}")
+        rep.say(f"module: {args.spec} over p = {args.p}")
+        rep.fact("structure", m.describe())
+        rep.fact("order", m.order())
         rep.say(f"element orbits: {free} free, {fixed} fixed")
-        rep.put("structure", m.describe())
-        rep.put("order", m.order())
         rep.put("invariants", _invariants_json(inv))
         rep.put("orbits_free", free)
         rep.put("orbits_fixed", fixed)
@@ -205,50 +195,39 @@ def cmd_module(cfg: WorkbenchConfig, args) -> tuple[Report, int]:
     eq = pres.kernel_pair()
 
     if args.action == "present":
-        rep.say(f"presentation of {args.spec} over p = {cfg.p}")
-        rep.say(f"elements: {pres.size}")
-        rep.say(f"kernel rank: {eq.rank}")
-        ok = eq.is_noncyclotomic()
-        rep.say(f"noncyclotomic: {str(ok).lower()}")
-        rep.put("elements", pres.size)
-        rep.put("kernel_rank", eq.rank)
-        rep.put("noncyclotomic", ok)
+        rep.say(f"presentation of {args.spec} over p = {args.p}")
+        rep.fact("elements", pres.size)
+        rep.fact("kernel rank", eq.rank)
+        rep.fact("noncyclotomic", eq.is_noncyclotomic())
         return rep, EXIT_OK
 
     if args.action == "invariant-basis":
         k, basis = find_invariant_basis(
-            eq, allow_stabilization=True, k_max=cfg.kmax, seed=cfg.seed
+            eq, allow_stabilization=True, k_max=args.kmax, seed=args.seed
         )
-        rep.say(f"invariant basis for {args.spec} over p = {cfg.p}")
-        rep.say(f"stabilization steps: {k}")
-        rep.say(f"rank: {basis.rank}")
-        rep.say(f"summary: {basis.summary()}")
+        rep.say(f"invariant basis for {args.spec} over p = {args.p}")
+        rep.fact("stabilization steps", k)
+        rep.fact("rank", basis.rank)
+        rep.fact("summary", basis.summary())
         for i, block in enumerate(basis.orbit_blocks):
             for j, vec in enumerate(block):
                 rep.say(f"orbit[{i}][{j}]: {_vec_text(vec)}")
         for i, vec in enumerate(basis.fixed_vectors):
             rep.say(f"fixed[{i}]: {_vec_text(vec)}")
-        rep.put("stabilization_steps", k)
-        rep.put("rank", basis.rank)
-        rep.put("summary", basis.summary())
         rep.put("orbit_blocks", [[list(v) for v in b] for b in basis.orbit_blocks])
         rep.put("fixed_vectors", [list(v) for v in basis.fixed_vectors])
         return rep, EXIT_OK
 
-    if args.action == "check-noncyc":
-        coords = eq.noncyclotomic_witness()
-        ok = coords is None
-        rep.say(f"noncyclotomic: {str(ok).lower()}")
-        rep.put("noncyclotomic", ok)
-        if not ok:
-            ambient = eq.lattice.basis.apply(coords)
-            rep.say(f"witness in norm kernel outside twist image: {_vec_text(coords)}")
-            rep.say(f"witness in ambient coordinates: {_vec_text(ambient)}")
-            rep.put("witness_coords", list(coords))
-            rep.put("witness_ambient", list(ambient))
-        return rep, EXIT_OK if ok else EXIT_FALSE
-
-    raise ParseError(f"unknown module action {args.action!r}")
+    coords = eq.noncyclotomic_witness()  # check-noncyc
+    ok = coords is None
+    rep.fact("noncyclotomic", ok)
+    if not ok:
+        ambient = eq.lattice.basis.apply(coords)
+        rep.say(f"witness in norm kernel outside twist image: {_vec_text(coords)}")
+        rep.say(f"witness in ambient coordinates: {_vec_text(ambient)}")
+        rep.put("witness_coords", list(coords))
+        rep.put("witness_ambient", list(ambient))
+    return rep, EXIT_OK if ok else EXIT_FALSE
 
 
 # ---------------------------------------------------------------------------
@@ -275,30 +254,35 @@ def _parse_gens(raw: str, width: int) -> list[tuple[int, ...]]:
     return vectors
 
 
-def _build_pair(cfg: WorkbenchConfig, args) -> InclusionPair:
-    m = build(parse_modspec(args.spec), cfg.p)
+def _build_pair(args) -> InclusionPair:
+    m = build(parse_modspec(args.spec), args.p)
     if args.sub == "t":
         span = m.t_image()
     elif args.sub == "full":
         span = Lattice.full(m.r)
     elif args.sub == "zero":
         span = m.rel
-    elif args.sub == "gens":
+    else:  # gens
         if not args.gens:
             raise ParseError("--sub gens requires --gens")
         span = m.invariant_span(_parse_gens(args.gens, m.r))
-    else:
-        raise ParseError(f"unknown submodule selector {args.sub!r}")
     return InclusionPair(m, m.submodule_from_lattice(span))
 
 
-def cmd_inclusion(cfg: WorkbenchConfig, args) -> tuple[Report, int]:
-    pair = _build_pair(cfg, args)
+def _witness(rep: Report, verdict) -> dict:
+    """Say an impurity witness; return it for the structured form."""
+    rep.say(f"impurity witness xi: {_vec_text(verdict.xi)}")
+    rep.say(f"impurity witness lam: {verdict.lam}")
+    return {"xi": list(verdict.xi), "lam": list(verdict.lam.coeffs)}
+
+
+def cmd_inclusion(args) -> tuple[Report, int]:
+    pair = _build_pair(args)
     rep = Report(f"inclusion-{args.action}")
-    rep.put("p", cfg.p)
+    rep.put("p", args.p)
     rep.put("spec", args.spec)
     rep.put("sub", args.sub)
-    rep.say(f"module: {args.spec} over p = {cfg.p}")
+    rep.say(f"module: {args.spec} over p = {args.p}")
     rep.say(f"submodule: {args.sub} (index {pair.sub.module.order()} of {pair.M.order()})")
 
     if args.action == "check":
@@ -306,65 +290,40 @@ def cmd_inclusion(cfg: WorkbenchConfig, args) -> tuple[Report, int]:
         verdict = find_impurity_witness(pair)
         cond = verdict is None
         rep.say(f"kernel intersection identity: {str(bool(inter)).lower()}")
-        rep.say(f"twist condition: {str(cond).lower()}")
         rep.put("kernel_intersection", bool(inter))
-        rep.put("twist_condition", cond)
+        rep.fact("twist condition", cond)
         if not cond:
-            rep.say(f"impurity witness xi: {_vec_text(verdict.xi)}")
-            rep.say(f"impurity witness lam: {verdict.lam}")
-            rep.put("witness_xi", list(verdict.xi))
-            rep.put("witness_lam", list(verdict.lam.coeffs))
+            for key, value in _witness(rep, verdict).items():
+                rep.put(f"witness_{key}", value)
         return rep, EXIT_OK if cond else EXIT_FALSE
 
     if args.action == "witness":
         verdict = find_impurity_witness(pair)
+        rep.fact("twist condition", verdict is None)
         if verdict is None:
-            rep.say("twist condition: true")
             rep.say("no impurity witness exists")
-            rep.put("twist_condition", True)
             rep.put("witness", None)
             return rep, EXIT_OK
-        rep.say("twist condition: false")
-        rep.say(f"impurity witness xi: {_vec_text(verdict.xi)}")
-        rep.say(f"impurity witness lam: {verdict.lam}")
-        rep.put("twist_condition", False)
-        rep.put("witness", {"xi": list(verdict.xi), "lam": list(verdict.lam.coeffs)})
+        rep.put("witness", _witness(rep, verdict))
         return rep, EXIT_FALSE
 
-    if args.action == "diagram":
-        report = inclusion_diagram(pair, k_max=cfg.kmax, seed=cfg.seed)
-        rep.put("twist_condition", report.condition_holds)
-        if not report.condition_holds:
-            rep.say("twist condition: false, no commuting inclusion diagram")
-            if report.impurity is not None:
-                rep.say(f"impurity witness xi: {_vec_text(report.impurity.xi)}")
-                rep.say(f"impurity witness lam: {report.impurity.lam}")
-                rep.put(
-                    "witness",
-                    {
-                        "xi": list(report.impurity.xi),
-                        "lam": list(report.impurity.lam.coeffs),
-                    },
-                )
-            return rep, EXIT_FALSE
-        diagram = report.diagram
-        rep.say("twist condition: true")
-        rep.say(
-            f"stabilization steps: sub {diagram.row0.k}, module {diagram.row.k}"
-        )
-        rep.say(
-            "column map: "
-            f"{diagram.column_map.rows} x {diagram.column_map.cols} equivariant"
-        )
-        rep.say("kernel projection verified")
-        rep.put(
-            "stabilization_steps", {"sub": diagram.row0.k, "module": diagram.row.k}
-        )
-        rep.put("column_map", _matrix_json(diagram.column_map))
-        rep.put("kernel_projection", _matrix_json(diagram.kernel_projection))
-        return rep, EXIT_OK
-
-    raise ParseError(f"unknown inclusion action {args.action!r}")
+    report = inclusion_diagram(pair, k_max=args.kmax, seed=args.seed)  # diagram
+    if not report.condition_holds:
+        rep.say("twist condition: false, no commuting inclusion diagram")
+        rep.put("twist_condition", False)
+        rep.put("witness", _witness(rep, report.impurity))
+        return rep, EXIT_FALSE
+    diagram = report.diagram
+    rep.fact("twist condition", True)
+    rep.say(f"stabilization steps: sub {diagram.row0.k}, module {diagram.row.k}")
+    rep.say(
+        f"column map: {diagram.column_map.rows} x {diagram.column_map.cols} equivariant"
+    )
+    rep.say("kernel projection verified")
+    rep.put("stabilization_steps", {"sub": diagram.row0.k, "module": diagram.row.k})
+    rep.put("column_map", _matrix_json(diagram.column_map))
+    rep.put("kernel_projection", _matrix_json(diagram.kernel_projection))
+    return rep, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +355,17 @@ def _group_spec_from_json(data: dict) -> GroupGraphSpec:
     )
 
 
-def _stability_depths(cfg: WorkbenchConfig) -> tuple[int, ...]:
-    return tuple(range(2, max(cfg.depth, 3) + 1))
+def _stability_depths(args) -> tuple[int, ...]:
+    return tuple(range(2, max(args.depth, 3) + 1))
 
 
-def _largest_depth(cfg: WorkbenchConfig, action: str) -> int:
+def _largest_depth(args) -> int:
     """Depth of the largest window a graph action builds."""
-    if action == "build":
+    if args.action == "build":
         return 2  # is_irreducible's window
-    if action == "stability":
-        return _stability_depths(cfg)[-1]
-    return cfg.depth
+    if args.action == "stability":
+        return _stability_depths(args)[-1]
+    return args.depth
 
 
 def _load_graph(args, depth: int) -> tuple[GadgetGraph, Optional[GroupGraphSpec]]:
@@ -451,8 +410,8 @@ def _describe_k(kr) -> str:
     return f"K = ({kr.invariants.describe()}, {k1.describe()})"
 
 
-def cmd_graph(cfg: WorkbenchConfig, args) -> tuple[Report, int]:
-    graph, spec = _load_graph(args, _largest_depth(cfg, args.action))
+def cmd_graph(args) -> tuple[Report, int]:
+    graph, spec = _load_graph(args, _largest_depth(args))
     rep = Report(f"graph-{args.action}")
 
     if args.action == "build":
@@ -466,8 +425,8 @@ def cmd_graph(cfg: WorkbenchConfig, args) -> tuple[Report, int]:
         rep.say(f"emitter: {graph.emitter if graph.emitter else 'none'}")
         for fam in graph.rays:
             rep.say(f"ray {fam.name}: {fam.orientation} at {fam.base}")
-        rep.say(f"automorphism order: {aut.order}")
-        rep.say(f"irreducible: {str(irreducible).lower()}")
+        rep.fact("automorphism order", aut.order)
+        rep.fact("irreducible", irreducible)
         rep.put("core_vertices", list(graph.vertices))
         rep.put("emitter", graph.emitter)
         rep.put(
@@ -477,20 +436,17 @@ def cmd_graph(cfg: WorkbenchConfig, args) -> tuple[Report, int]:
                 for f in graph.rays
             ],
         )
-        rep.put("automorphism_order", aut.order)
-        rep.put("irreducible", irreducible)
         return rep, EXIT_OK
 
     if args.action == "ktheory":
-        kr = compute_k(graph, cfg.depth)
+        kr = compute_k(graph, args.depth)
         kr = induced_action(graph, kr)
-        rep.say(f"depth: {cfg.depth}")
+        rep.fact("depth", args.depth)
         rep.say(_describe_k(kr))
         rep.say(f"K0 invariant factors: {kr.invariants.describe()}")
         rep.say(f"K1 rank: {kr.k1_rank}")
         for name in graph.vertices:
             rep.say(f"class[{name}] = {_vec_text(kr.vertex_classes[name])}")
-        rep.put("depth", cfg.depth)
         rep.put("k0", _invariants_json(kr.invariants))
         rep.put("k1_rank", kr.k1_rank)
         rep.put(
@@ -504,7 +460,7 @@ def cmd_graph(cfg: WorkbenchConfig, args) -> tuple[Report, int]:
     if args.action == "verify":
         if spec is None:
             raise ParseError("graph verify needs a group graph file (--file)")
-        result = verify_group_graph(graph, spec, depth=cfg.depth)
+        result = verify_group_graph(graph, spec, depth=args.depth)
         kr = result.kresult
         k1 = QuotientInvariants((), kr.k1_rank)
         map_ok = result.check("k0-explicit-isomorphism").passed
@@ -515,7 +471,7 @@ def cmd_graph(cfg: WorkbenchConfig, args) -> tuple[Report, int]:
         for chk in result.checks:
             status = "PASS" if chk.passed else "FAIL"
             rep.say(f"check {status} {chk.name}: {chk.detail}")
-        rep.say(f"verified: {str(result.passed).lower()}")
+        rep.fact("verified", result.passed)
         rep.put("k0", _invariants_json(kr.invariants))
         rep.put("k1_rank", kr.k1_rank)
         rep.put(
@@ -525,30 +481,25 @@ def cmd_graph(cfg: WorkbenchConfig, args) -> tuple[Report, int]:
                 for c in result.checks
             ],
         )
-        rep.put("verified", result.passed)
         return rep, EXIT_OK if result.passed else EXIT_FALSE
 
     if args.action == "stability":
-        tr = stabilization_check(graph, _stability_depths(cfg))
+        tr = stabilization_check(graph, _stability_depths(args))
         rep.say(f"depths: {', '.join(str(d) for d in tr.depths)}")
         for d, inv, k1 in zip(tr.depths, tr.invariants, tr.k1_ranks):
             rep.say(f"depth {d}: K0 {inv.describe()}, K1 rank {k1}")
-        rep.say(f"stable: {str(tr.stable).lower()}")
+        rep.fact("stable", tr.stable)
         rep.put("depths", list(tr.depths))
         rep.put("k0_by_depth", [_invariants_json(i) for i in tr.invariants])
         rep.put("k1_ranks", list(tr.k1_ranks))
-        rep.put("stable", tr.stable)
         return rep, EXIT_OK if tr.stable else EXIT_FALSE
 
-    if args.action == "dot":
-        text = to_dot(graph, cfg.depth)
-        for line in text[:-1].split("\n"):  # to_dot ends every line with a newline
-            rep.say(line)
-        rep.put("depth", cfg.depth)
-        rep.put("dot", text)
-        return rep, EXIT_OK
-
-    raise ParseError(f"unknown graph action {args.action!r}")
+    text = to_dot(graph, args.depth)  # dot
+    for line in text[:-1].split("\n"):  # to_dot ends every line with a newline
+        rep.say(line)
+    rep.put("depth", args.depth)
+    rep.put("dot", text)
+    return rep, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -624,14 +575,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)
-        cfg = WorkbenchConfig(
-            p=2 if args.p is None else args.p,
-            depth=args.depth, seed=args.seed, kmax=args.kmax, fmt=args.fmt,
-        )
+        if args.p is None and args.group != "graph":
+            args.p = 2
+        if args.p is not None and not is_prime(args.p):
+            raise ParseError(f"--p must be prime, got {args.p}")
+        if args.depth < 2:
+            raise ParseError(f"--depth must be at least 2, got {args.depth}")
+        if args.kmax < 0:
+            raise ParseError(f"--kmax must be nonnegative, got {args.kmax}")
         if "spec" in args:
             args.spec = _read_spec_arg(args.spec)  # read an @FILE once per run
-        rep, code = _HANDLERS[args.group](cfg, args)
-        rep.emit(cfg)
+        rep, code = _HANDLERS[args.group](args)
+        rep.emit(args.fmt)
         return code
     except ParseError as exc:
         sys.stderr.write(f"cyclat: usage error: {exc}\n")

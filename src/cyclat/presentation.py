@@ -616,7 +616,11 @@ def _stabilize(aug: AugPresentation, k_max: int, seed: int, k_min: int) -> Stabi
     n2 = InvariantBasis(p, action, ambient, blocks + regular, fixed)
 
     pi_ext = IntMatrix.hstack(aug.pi_matrix, IntMatrix.zeros(M.r, k * p))
-    if n1.ambient != M.rel.preimage(pi_ext):
+    # pi_ext maps onto M, so a full-rank n1 inside its kernel with index |M|
+    # is the whole kernel
+    kernel = n1.ambient
+    exact = kernel.rank == total and M.rel.solve(pi_ext @ kernel.basis) is not None
+    if not exact or kernel.index() != M.order():
         raise InternalInvariantError("stabilized row is not exact")
 
     vec_pos = {v: i for i, v in enumerate(n2.vectors())}

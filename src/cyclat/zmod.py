@@ -13,6 +13,7 @@ is element equality.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import product
@@ -144,23 +145,37 @@ def parse_modspec(text: str):
     return parts[0] if len(parts) == 1 else DirectSum(tuple(parts))
 
 
-def _validate_spec(spec, p: int) -> None:
+def spec_order(spec, p: int) -> Optional[int]:
+    """Order of the module build(spec, p) realizes, or None when it is
+    infinite: read off the shape, so no matrix is built.  Refuses an invalid
+    shape as build does."""
     if isinstance(spec, TrivCyclic):
         if spec.n < 1:
             raise PreconditionError("triv(n) needs n >= 1")
-    elif isinstance(spec, (TrivFree, FreeR)):
+        return spec.n
+    if isinstance(spec, (TrivFree, FreeR)):
         if spec.rank < 1:
             raise PreconditionError("free rank must be >= 1")
-    elif isinstance(spec, CyclicR):
+        return None
+    if isinstance(spec, CyclicR):
         if not is_prime(spec.q) or spec.k < 1:
             raise PreconditionError("cyclicR(q,k) needs q prime and k >= 1")
-    elif isinstance(spec, DirectSum):
+        return spec.q ** (spec.k * p)
+    if isinstance(spec, DirectSum):
         if not spec.parts:
             raise PreconditionError("empty direct sum")
-        for part in spec.parts:
-            _validate_spec(part, p)
-    else:
-        raise PreconditionError(f"not a module shape: {spec!r}")
+        orders = [spec_order(part, p) for part in spec.parts]
+        return None if None in orders else math.prod(orders)
+    raise PreconditionError(f"not a module shape: {spec!r}")
+
+
+def check_listable(order: int) -> None:
+    """Refuse to list the elements of a module of this order."""
+    if order > MAX_ENUMERATION:
+        raise PreconditionError(
+            f"module of order {order} is too large to list its elements"
+            f" (bound {MAX_ENUMERATION})"
+        )
 
 
 # -- the module model ---------------------------------------------------------
@@ -231,11 +246,7 @@ class FinMod:
         if not self.is_finite():
             raise PreconditionError("cannot enumerate an infinite module")
         if self._elems is None:
-            if self.order() > MAX_ENUMERATION:
-                raise PreconditionError(
-                    f"module of order {self.order()} is too large to list its elements"
-                    f" (bound {MAX_ENUMERATION})"
-                )
+            check_listable(self.order())
             diag = [self.rel.basis[i, k] for k, i in enumerate(self.rel.pivot_rows)]
             elems = [tuple(v) for v in product(*(range(d) for d in diag))]
             object.__setattr__(self, "_elems", elems)
@@ -376,7 +387,7 @@ def build(spec, p: int) -> FinMod:
     """Realize a shape expression as a concrete FinMod."""
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    _validate_spec(spec, p)
+    spec_order(spec, p)  # validates the shape
     return _build(spec, p)
 
 
@@ -442,13 +453,13 @@ def random_spec(rng, p: int, max_order: int = 64):
             CyclicR(q, k)
             for q in (2, 3, 5)
             for k in (1, 2)
-            if is_prime(q) and q ** (k * p) <= budget
+            if q ** (k * p) <= budget
         ]
         if not choices:
             break
         leaf = rng.choice(choices)
         parts.append(leaf)
-        budget //= leaf.n if isinstance(leaf, TrivCyclic) else leaf.q ** (leaf.k * p)
+        budget //= spec_order(leaf, p)
     if not parts:
         parts = [TrivCyclic(rng.randint(2, 4))]
     return parts[0] if len(parts) == 1 else DirectSum(tuple(parts))

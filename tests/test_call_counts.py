@@ -236,3 +236,14 @@ def test_basis_search_reuses_the_noncyclotomy_verdict(monkeypatch):
     k, _ = find_invariant_basis(eq)
     assert k == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["build", "present"])
+def test_oversize_module_is_refused_from_its_spec(monkeypatch, capsys, command):
+    # the order 2^7919 is read off the spec, so no relation lattice is built
+    calls = count_calls(monkeypatch, Lattice, "__init__")
+    assert main(["module", command, "cyclicR(2,1)", "--p", "7919"]) == 65
+    bound = cyclat.zmod.MAX_ENUMERATION
+    want = f"module of order {2 ** 7919} is too large to list its elements (bound {bound})"
+    assert capsys.readouterr() == ("", f"cyclat: bad input: {want}\n")
+    assert len(calls) == 0

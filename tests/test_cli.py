@@ -463,6 +463,14 @@ def test_graph_group_file_p_mismatch_is_usage_error(capsys):
     assert "--p 3" in err and "p = 2" in err
 
 
+def test_graph_group_file_nonprime_p_is_refused_as_not_prime(capsys):
+    rc, out, err = run_cli(
+        capsys, "graph", "verify", "--file", str(DATA / "group_z5.json"), "--p", "4"
+    )
+    assert (rc, out) == (64, "")
+    assert err == "cyclat: usage error: --p must be prime, got 4\n"
+
+
 def test_graph_group_file_p_omitted_uses_file(capsys):
     rc, out, _ = run_cli(capsys, "graph", "verify", "--file", str(DATA / "group_z5.json"))
     assert rc == 0
@@ -589,6 +597,42 @@ def test_structured_verify_payload(capsys):
     assert data["verified"] is True
     assert data["k0"] == {"torsion": [5], "free_rank": 0}
     assert len(data["checks"]) == 11
+
+
+Z2, Z5 = str(DATA / "group_z2.json"), str(DATA / "group_z5.json")
+
+# (golden file, argv without --format structured, exit code): one or two
+# invocations of each action whose structured document no other test pins
+STRUCTURED_GOLDENS = [
+    ("module_build_cyclicR21_triv3_p2.json", ("module", "build", "cyclicR(2,1)+triv(3)", "--p", "2"), 0),
+    ("module_present_cyclicR21_p2.json", ("module", "present", "cyclicR(2,1)", "--p", "2"), 0),
+    ("module_check_noncyc_triv4_p2.json", ("module", "check-noncyc", "triv(4)", "--p", "2"), 0),
+    ("inclusion_check_r4_t.json", ("inclusion", "check", "cyclicR(2,2)", "--p", "2"), 1),
+    ("inclusion_check_r4_full.json", ("inclusion", "check", "cyclicR(2,2)", "--sub", "full", "--p", "2"), 0),
+    ("inclusion_witness_r4_t.json", ("inclusion", "witness", "cyclicR(2,2)", "--p", "2"), 1),
+    ("inclusion_witness_r2_full.json", ("inclusion", "witness", "cyclicR(2,1)", "--sub", "full", "--p", "2"), 0),
+    ("inclusion_diagram_r2_full.json", ("inclusion", "diagram", "cyclicR(2,1)", "--sub", "full", "--p", "2"), 0),
+    ("inclusion_diagram_r4_t.json", ("inclusion", "diagram", "cyclicR(2,2)", "--p", "2"), 1),
+    ("graph_build_strand4_cyclic_p3.json", ("graph", "build", "--strand", "4", "--cyclic", "--p", "3"), 0),
+    ("graph_verify_z5.json", ("graph", "verify", "--file", Z5), 0),
+    ("graph_stability_z2_depth4.json", ("graph", "stability", "--file", Z2, "--depth", "4"), 0),
+    ("graph_dot_strand2_depth2.json", ("graph", "dot", "--strand", "2", "--depth", "2"), 0),
+]
+
+
+@pytest.mark.parametrize("name,argv,rc", STRUCTURED_GOLDENS, ids=[g[0] for g in STRUCTURED_GOLDENS])
+def test_structured_output_golden(capsys, name, argv, rc):
+    assert run_cli(capsys, *argv, "--format", "structured") == (rc, golden(name), "")
+
+
+def test_check_noncyc_witness_structured_golden(monkeypatch, capsys):
+    # presentation kernels are noncyclotomic, so only a planted witness
+    # reaches the output of the witness case
+    monkeypatch.setattr(
+        cyclat.presentation.EquivariantLattice, "noncyclotomic_witness", lambda self: (1, -1, 0, 0)
+    )
+    argv = ("module", "check-noncyc", "cyclicR(2,1)", "--p", "2", "--format", "structured")
+    assert run_cli(capsys, *argv) == (1, golden("module_check_noncyc_witness_cyclicR21_p2.json"), "")
 
 
 def test_structured_keys_sorted(capsys):

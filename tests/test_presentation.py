@@ -490,3 +490,16 @@ class TestStabilize:
         s = stabilize_presentation(mult_by(2, 5, 4))
         assert s.n1.rank == 5 + 2 * s.k
         assert s.n2.rank == 5 + 2 * s.k
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [((2, 0), (0, 4)), ((2, 0), (0, 1))],
+        ids=["twice-the-kernel", "right-index-outside-the-kernel"],
+    )
+    def test_wrong_kernel_is_not_exact(self, monkeypatch, vectors):
+        # triv(2) is presented by pi = [0 1], whose kernel is spanned by
+        # (1, 0) and (0, 2); each planted basis breaks one exactness condition
+        wrong = InvariantBasis(2, IntMatrix.identity(2), Lattice.spanned_by(vectors, 2), [], vectors)
+        monkeypatch.setattr(cyclat.presentation, "find_invariant_basis", lambda *a, **kw: (0, wrong))
+        with pytest.raises(InternalInvariantError, match="stabilized row is not exact"):
+            stabilize_presentation(build(TrivCyclic(2), 2))

@@ -16,7 +16,9 @@ from cyclat.zmod import (
     direct_sum,
     parse_modspec,
     random_module,
+    random_spec,
     random_unimodular,
+    spec_order,
 )
 
 
@@ -84,6 +86,17 @@ class TestBuild:
             build(TrivCyclic(0), 2)
         with pytest.raises(PreconditionError):
             build(TrivCyclic(2), 4)
+
+    def test_spec_order_of_random_specs(self):
+        rng = random.Random(3)
+        for p in (2, 3, 5):
+            for _ in range(10):
+                spec = random_spec(rng, p)
+                assert spec_order(spec, p) == build(spec, p).order()
+
+    @pytest.mark.parametrize("text", ["freeR(1)", "trivfree(2)", "triv(2)+freeR(1)"])
+    def test_spec_order_of_an_infinite_shape_is_none(self, text):
+        assert spec_order(parse_modspec(text), 2) is None
 
     def test_shape_merging(self):
         m = direct_sum(build(TrivCyclic(2), 2), build(CyclicR(2, 1), 2))
