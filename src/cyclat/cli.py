@@ -64,8 +64,8 @@ from .lattice_props import (
     find_impurity_witness,
     inclusion_diagram,
 )
-from .presentation import build_aug, find_invariant_basis
-from .zmod import FinMod, build, check_listable, parse_modspec, spec_order
+from .presentation import UNPRESENTABLE, build_aug, find_invariant_basis
+from .zmod import FinMod, build, check_listable, parse_modspec, spec_order, spec_rank
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -172,8 +172,10 @@ def _orbit_summary(m: FinMod) -> tuple[int, int]:
 def cmd_module(args) -> tuple[Report, int]:
     shape = parse_modspec(args.spec)
     order = spec_order(shape, args.p)
-    if order is not None:  # every action lists the elements: refuse before any matrix
-        check_listable(order)
+    # every action lists the elements: refuse an infinite or oversize module before any matrix
+    if order is None and args.action != "build":
+        raise PreconditionError(UNPRESENTABLE)
+    check_listable(order)
     m = build(shape, args.p)
     rep = Report(f"module-{args.action}")
     rep.put("p", args.p)
@@ -255,7 +257,17 @@ def _parse_gens(raw: str, width: int) -> list[tuple[int, ...]]:
 
 
 def _build_pair(args) -> InclusionPair:
-    m = build(parse_modspec(args.spec), args.p)
+    shape = parse_modspec(args.spec)
+    order = spec_order(shape, args.p)
+    if args.sub == "gens":
+        if not args.gens:
+            raise ParseError("--sub gens requires --gens")
+        gens = _parse_gens(args.gens, spec_rank(shape, args.p))
+    # InclusionPair presents M first: refuse an infinite or oversize M before any matrix
+    if order is None:
+        raise PreconditionError(UNPRESENTABLE)
+    check_listable(order)
+    m = build(shape, args.p)
     if args.sub == "t":
         span = m.t_image()
     elif args.sub == "full":
@@ -263,9 +275,7 @@ def _build_pair(args) -> InclusionPair:
     elif args.sub == "zero":
         span = m.rel
     else:  # gens
-        if not args.gens:
-            raise ParseError("--sub gens requires --gens")
-        span = m.invariant_span(_parse_gens(args.gens, m.r))
+        span = m.invariant_span(gens)
     return InclusionPair(m, m.submodule_from_lattice(span))
 
 

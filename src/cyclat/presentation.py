@@ -11,7 +11,11 @@ into free orbits and fixed vectors, and stabilizes by regular summands
 when a direct search needs the extra room.  For a direct sum of Z/n and
 R/(q^k) leaves the split basis is read off in one pass over the module's
 own element orbits: 0-hat, each leaf's vectors, and the cross vectors
-that tie each leaf to the leaves before it.
+that tie each leaf to the leaves before it.  Any other lattice is split by
+a seeded greedy search: free orbits of candidate vectors, each accepted
+when a p-column Hermite elimination says it keeps the chosen set primitive,
+then fixed vectors completing them; one certified Smith form per completed
+search hands the completion its transform.
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ from .errors import (
     SearchExhausted,
 )
 from .intlinalg import IntMatrix, Lattice, column_rank, kernel_basis, snf, solve_columns
+from .intlinalg import _hermite_columns
 from .zmod import CyclicR, DirectSum, FinMod, TrivCyclic, build, direct_sum
 
 GREEDY_ATTEMPTS = 6
 DEFAULT_K_MAX = 4
 _UNDECIDED = object()  # an EquivariantLattice's witness before its first search
+UNPRESENTABLE = "only finite modules have a finite element basis"  # build_aug's refusal
 
 
 def _unit(n: int, i: int) -> tuple[int, ...]:
@@ -191,7 +197,7 @@ class AugPresentation:
 def build_aug(M: FinMod) -> AugPresentation:
     """Present a finite module by the free abelian group on its elements."""
     if not M.is_finite():
-        raise PreconditionError("only finite modules have a finite element basis")
+        raise PreconditionError(UNPRESENTABLE)
     elements = tuple(M.enumerate())
     pi = IntMatrix.from_cols(elements, rows=M.r)
     m = len(elements)
@@ -451,20 +457,70 @@ def _orbit_of(c: IntMatrix, v: tuple[int, ...], p: int) -> list[tuple[int, ...]]
     return orb
 
 
-def _candidate_pool(r: int, rng: random.Random) -> list[tuple[int, ...]]:
-    pool = [_unit(r, i) for i in range(r)]
-    for _ in range(4 * r):
-        pool.append(tuple(rng.randint(-2, 2) for _ in range(r)))
-    return pool
+def _spans_unit_lattice(rows: Sequence[dict[int, int]], p: int) -> bool:
+    """Whether the vectors {j < p: entry} span Z^p: their Hermite form has p unit pivots."""
+    cols = [dict(b) for b in rows if b]
+    if len(cols) < p or len(_hermite_columns(cols, p)) < p:
+        return False
+    return all(cols[i][i] == 1 for i in range(p))
 
 
-def _extract_orbits(c: IntMatrix, p: int, target: int, rng: random.Random):
-    """`target` orbits spanning a primitive sublattice, greedily, and their Smith U; or None."""
+class _CandidatePool:
+    """The candidates of one greedy attempt: the r unit vectors, then 4r random vectors.
+
+    A random vector is r draws rng.randint(-2, 2), made when a reader first
+    reaches it and kept for later passes.  Vectors are drawn in pool order,
+    so each is the one that drawing all 4r² values up front would have put
+    there; drain() makes the draws nobody read, which leaves rng where
+    drawing up front would have.
+    """
+
+    __slots__ = ("r", "rng", "vectors")
+
+    def __init__(self, r: int, rng: random.Random):
+        self.r = r
+        self.rng = rng
+        self.vectors: list[tuple[int, ...]] = []
+
+    def __iter__(self):
+        r = self.r
+        for i in range(5 * r):
+            if i == len(self.vectors):
+                draw = _unit(r, i) if i < r else tuple(self.rng.randint(-2, 2) for _ in range(r))
+                self.vectors.append(draw)
+            yield self.vectors[i]
+
+    def drain(self) -> None:
+        for _ in self:
+            pass
+
+
+def _extract_orbits(c: IntMatrix, p: int, target: int, pool: _CandidatePool):
+    """`target` orbits spanning a primitive sublattice, greedily, and their Smith U; or None.
+
+    Passes over the pool while a pass still accepts a candidate v, and
+    takes the orbit of v whenever it keeps the chosen vectors primitive.
+    That test needs no Smith form of the chosen vectors.  Let U be
+    unimodular with U chosen = [W; 0]; comp holds U's last r - |chosen|
+    rows, which span the integer row vectors orthogonal to the chosen ones.
+    Then U [chosen | orb] = [[W, X], [0, B]] with B = comp orb, and W is
+    unimodular because the chosen vectors are primitive, so column
+    operations clear X: chosen + orb is primitive exactly when the rows of
+    B span Z^p.  One Hermite elimination of those p-long rows decides it,
+    and rejects a v the action fixes (B then has rank 1).  On acceptance
+    the same elimination, with comp's rows stacked below B's, is a
+    unimodular T with T B = [I; 0], and its last rows are the new comp.
+    The Smith U handed on comes from one certified snf of the final chosen
+    vectors, which must agree with the test.
+    """
     r = c.rows
-    u = IntMatrix.identity(r)
     if target == 0:
-        return [], u
-    pool = _candidate_pool(r, rng)
+        return [], IntMatrix.identity(r)
+    powers = [IntMatrix.identity(r)]
+    for _ in range(p - 1):
+        powers.append(c @ powers[-1])
+    comp = IntMatrix.identity(r)
+    lift = IntMatrix.vstack(*powers)  # block j is comp c^j: (lift v)[j m + i] is B[i, j]
     chosen: list[tuple[int, ...]] = []
     blocks: list[tuple[tuple[int, ...], ...]] = []
     progress = True
@@ -473,56 +529,69 @@ def _extract_orbits(c: IntMatrix, p: int, target: int, rng: random.Random):
         for v in pool:
             if len(blocks) == target:
                 break
+            y, m = lift.apply(v), comp.rows
+            rows = [{j: y[j * m + i] for j in range(p) if y[j * m + i]} for i in range(m)]
+            if not _spans_unit_lattice(rows, p):
+                continue
+            stacked = [{**b, **{p + t: x for t, x in u.items()}} for b, u in zip(rows, comp._ent)]
+            _hermite_columns(stacked, p)
+            comp_rows = [{t - p: x for t, x in col.items()} for col in stacked[p:]]
+            comp = IntMatrix._wrap(comp_rows, len(comp_rows), r)
+            lift = IntMatrix.vstack(comp, *(comp @ a for a in powers[1:]))
             orb = _orbit_of(c, v, p)
-            if orb[1] == orb[0]:
-                continue
-            cand = chosen + orb
-            res = snf(IntMatrix.from_cols(cand, rows=r))
-            if res.rank != len(cand) or any(d != 1 for d in res.diag[: res.rank]):
-                continue
-            chosen, blocks, u = cand, blocks + [tuple(orb)], res.u
+            chosen += orb
+            blocks.append(tuple(orb))
             progress = True
-    return (blocks, u) if len(blocks) == target else None
+    if len(blocks) < target:
+        return None
+    res = snf(IntMatrix.from_cols(chosen, rows=r))
+    if res.diag != (1,) * len(chosen):
+        raise InternalInvariantError("greedy orbits are not primitive by their Smith form")
+    return blocks, res.u
 
 
-def _complete_with_fixed(u: IntMatrix, chosen: int, fix: Lattice):
-    """Fixed vectors completing `chosen` primitive vectors of Smith row transform u to a basis."""
+def _complete_with_fixed(u: IntMatrix, chosen: int, fix: Lattice) -> Optional[IntMatrix]:
+    """Fixed vectors completing `chosen` primitive vectors of Smith row transform u to a
+    basis, as the columns of a matrix; or None."""
     r = u.rows
     need = r - chosen
     if need == 0:
-        return []
+        return IntMatrix.zeros(r, 0)
     if fix.rank == 0:
         return None
     proj = u.submatrix(range(chosen, r), range(r))
     sol = solve_columns(proj @ fix.basis, IntMatrix.identity(need))
-    if sol is None:
-        return None
-    lifted = fix.basis @ sol
-    return [lifted.col(j) for j in range(need)]
+    return None if sol is None else fix.basis @ sol
 
 
 def _greedy_basis(
     eq: EquivariantLattice, rng: random.Random
 ) -> tuple[Optional[InvariantBasis], int]:
-    """A split basis found by greedy orbit extraction, or None; and the attempts made."""
+    """A split basis found by greedy orbit extraction, or None; and the attempts made.
+
+    A failed attempt drains its pool before the next one draws, so every
+    attempt reads the rng stream where drawing whole pools up front would.
+    Only an extraction that completes can leave draws unread: a failed one
+    has read the whole pool.  An extraction of no orbit, for an action
+    that fixes every vector, reads no pool and always completes.
+    """
     c = eq.restricted()
     r = c.rows
     fix = kernel_basis(c - IntMatrix.identity(r))
     orbit_count, rem = divmod(r - fix.rank, eq.p - 1)
     if rem:
         return None, 0
+    n = orbit_count * eq.p
     for attempt in range(1, GREEDY_ATTEMPTS + 1):
-        found = _extract_orbits(c, eq.p, orbit_count, rng)
-        if found is None:
-            continue
-        blocks, u = found
-        fixed = _complete_with_fixed(u, orbit_count * eq.p, fix)
-        if fixed is None:
-            continue
-        bas = eq.lattice.basis
-        amb_blocks = [tuple(bas.apply(v) for v in blk) for blk in blocks]
-        amb_fixed = [bas.apply(v) for v in fixed]
-        return InvariantBasis(eq.p, eq.action, eq.lattice, amb_blocks, amb_fixed), attempt
+        pool = _CandidatePool(r, rng)
+        found = _extract_orbits(c, eq.p, orbit_count, pool)
+        fixed = None if found is None else _complete_with_fixed(found[1], n, fix)
+        if fixed is not None:
+            orbits = IntMatrix.from_cols([v for blk in found[0] for v in blk], rows=r)
+            amb = (eq.lattice.basis @ IntMatrix.hstack(orbits, fixed)).columns()
+            blocks = [amb[i : i + eq.p] for i in range(0, n, eq.p)]
+            return InvariantBasis(eq.p, eq.action, eq.lattice, blocks, amb[n:]), attempt
+        pool.drain()
     return None, GREEDY_ATTEMPTS
 
 

@@ -169,8 +169,22 @@ def spec_order(spec, p: int) -> Optional[int]:
     raise PreconditionError(f"not a module shape: {spec!r}")
 
 
-def check_listable(order: int) -> None:
-    """Refuse to list the elements of a module of this order."""
+def spec_rank(spec, p: int) -> int:
+    """Rank r of the Z^r on which build(spec, p) realizes the module, for a
+    shape that spec_order has validated: read off the shape, like the order."""
+    if isinstance(spec, DirectSum):
+        return sum(spec_rank(part, p) for part in spec.parts)
+    if isinstance(spec, TrivCyclic):
+        return 1
+    if isinstance(spec, CyclicR):
+        return p
+    return spec.rank * (p if isinstance(spec, FreeR) else 1)
+
+
+def check_listable(order: Optional[int]) -> None:
+    """Refuse to list the elements of a module of this order (None: infinite)."""
+    if order is None:
+        raise PreconditionError("cannot enumerate an infinite module")
     if order > MAX_ENUMERATION:
         raise PreconditionError(
             f"module of order {order} is too large to list its elements"
@@ -243,10 +257,8 @@ class FinMod:
 
     def enumerate(self) -> list[tuple[int, ...]]:
         """All canonical representatives, deterministic order, zero first."""
-        if not self.is_finite():
-            raise PreconditionError("cannot enumerate an infinite module")
         if self._elems is None:
-            check_listable(self.order())
+            check_listable(self.order() if self.is_finite() else None)
             diag = [self.rel.basis[i, k] for k, i in enumerate(self.rel.pivot_rows)]
             elems = [tuple(v) for v in product(*(range(d) for d in diag))]
             object.__setattr__(self, "_elems", elems)

@@ -247,3 +247,89 @@ def test_oversize_module_is_refused_from_its_spec(monkeypatch, capsys, command):
     want = f"module of order {2 ** 7919} is too large to list its elements (bound {bound})"
     assert capsys.readouterr() == ("", f"cyclat: bad input: {want}\n")
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize(
+    "m, completed",
+    [
+        (FinMod(2, 1, Lattice.spanned_by([(5,)], 1), IntMatrix([[4]])), [True]),
+        (FinMod(3, 1, Lattice.spanned_by([(13,)], 1), IntMatrix([[3]])), [False, False, False, True]),
+    ],
+    ids=["Z/5-times-4-p2", "Z/13-times-3-p3"],
+)
+def test_greedy_search_runs_one_smith_form_per_completed_extraction(monkeypatch, m, completed):
+    # Z/n under multiplication has no shape, so its kernel takes the greedy
+    # search; each candidate is decided without a Smith form
+    eq = build_aug(m).kernel_pair()
+    assert eq.is_noncyclotomic()
+    extract = cyclat.presentation._extract_orbits
+    found = []
+
+    def recording(*args):
+        found.append(extract(*args))
+        return found[-1]
+
+    monkeypatch.setattr(cyclat.presentation, "_extract_orbits", recording)
+    calls = count_calls(monkeypatch, cyclat.intlinalg, "snf")
+    k, _ = find_invariant_basis(eq, allow_stabilization=True)
+    assert k == 0
+    assert [f is not None for f in found] == completed
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (("module", "build"), "cannot enumerate an infinite module"),
+        (("module", "present"), "only finite modules have a finite element basis"),
+        (("module", "invariant-basis"), "only finite modules have a finite element basis"),
+        (("module", "check-noncyc"), "only finite modules have a finite element basis"),
+        (("inclusion", "check"), "only finite modules have a finite element basis"),
+    ],
+    ids=lambda x: "-".join(x) if isinstance(x, tuple) else None,
+)
+def test_infinite_module_is_refused_from_its_spec(monkeypatch, capsys, command, message):
+    # a free leaf makes the order infinite, which the spec tells before any lattice
+    calls = count_calls(monkeypatch, Lattice, "__init__")
+    assert main([*command, "freeR(1)+cyclicR(2,1)", "--p", "7919"]) == 65
+    assert capsys.readouterr() == ("", f"cyclat: bad input: {message}\n")
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--sub", "t"],
+        ["witness", "--sub", "t"],
+        ["diagram"],
+        ["check", "--sub", "zero"],
+        ["check", "--sub", "gens", "--gens", ",".join(["1"] + ["0"] * 2002)],
+    ],
+    ids=["check", "witness", "diagram", "check-zero", "check-gens"],
+)
+def test_oversize_inclusion_is_refused_from_its_spec(monkeypatch, capsys, argv):
+    # InclusionPair would list M's elements first, so the refusal cites |M|
+    calls = count_calls(monkeypatch, Lattice, "__init__")
+    assert main(["inclusion", argv[0], "cyclicR(2,1)", *argv[1:], "--p", "2003"]) == 65
+    bound = cyclat.zmod.MAX_ENUMERATION
+    want = f"module of order {2 ** 2003} is too large to list its elements (bound {bound})"
+    assert capsys.readouterr() == ("", f"cyclat: bad input: {want}\n")
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize(
+    "gens, message",
+    [
+        ([], "--sub gens requires --gens"),
+        (["--gens", "1,0"], "generator vector '1,0' has length 2, expected 2003"),
+        (["--gens", "x,0"], "bad generator vector 'x,0'"),
+    ],
+    ids=["missing", "short", "not-integers"],
+)
+def test_gens_usage_errors_come_before_the_oversize_refusal(monkeypatch, capsys, gens, message):
+    # the width comes from the rank read off the spec, so no lattice is built
+    calls = count_calls(monkeypatch, Lattice, "__init__")
+    argv = ["inclusion", "check", "cyclicR(2,1)", "--sub", "gens", *gens, "--p", "2003"]
+    assert main(argv) == 64
+    assert capsys.readouterr() == ("", f"cyclat: usage error: {message}\n")
+    assert len(calls) == 0

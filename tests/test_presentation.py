@@ -1,3 +1,6 @@
+import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -11,13 +14,17 @@ from cyclat.errors import (
     PreconditionError,
     SearchExhausted,
 )
-from cyclat.intlinalg import IntMatrix, Lattice
+from cyclat.intlinalg import IntMatrix, Lattice, inv_unimodular, snf
 from cyclat.presentation import (
     GREEDY_ATTEMPTS,
     AugPresentation,
     EquivariantLattice,
     InvariantBasis,
+    _CandidatePool,
+    _extract_orbits,
+    _greedy_basis,
     _leaf_basis,
+    _spans_unit_lattice,
     _split_orbits,
     _unit,
     assemble_direct_sum,
@@ -37,7 +44,10 @@ from cyclat.zmod import (
     direct_sum,
     parse_modspec,
     random_module,
+    random_unimodular,
 )
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def mult_by(p, n, u):
@@ -503,3 +513,137 @@ class TestStabilize:
         monkeypatch.setattr(cyclat.presentation, "find_invariant_basis", lambda *a, **kw: (0, wrong))
         with pytest.raises(InternalInvariantError, match="stabilized row is not exact"):
             stabilize_presentation(build(TrivCyclic(2), 2))
+
+
+# ---------------------------------------------------------------------------
+# the greedy basis search
+
+
+def _greedy_kernels():
+    """Kernels for the greedy search: seeded random_module draws, each also
+    with its provenance stripped, and Z/n under multiplication by u."""
+    rng = random.Random(19)
+    for draw in range(40):
+        p = rng.choice((2, 3, 5))
+        eq = build_aug(random_module(rng, p, max_order=32)).kernel_pair()
+        yield f"random_module draw {draw}", eq
+        bare = EquivariantLattice(p, eq.lattice, eq.action)
+        yield f"random_module draw {draw} without provenance", bare
+    for p, n, u in ((2, 5, 4), (2, 9, 8), (3, 7, 2), (3, 13, 3), (5, 11, 3), (3, 31, 5)):
+        yield f"Z/{n} with x -> {u}x at p = {p}", build_aug(mult_by(p, n, u)).kernel_pair()
+
+
+def test_greedy_bases_match_their_golden():
+    # the file was written by the search that ran one snf per candidate, and
+    # is never regenerated: the block test must make the same decisions
+    cases = []
+    for name, eq in _greedy_kernels():
+        k, b = find_invariant_basis(eq, allow_stabilization=True)
+        cases.append({
+            "kernel": name,
+            "k": k,
+            "orbit_blocks": [[list(v) for v in blk] for blk in b.orbit_blocks],
+            "fixed_vectors": [list(v) for v in b.fixed_vectors],
+        })
+    text = "[\n" + ",\n".join(json.dumps(c, separators=(",", ":")) for c in cases) + "\n]\n"
+    assert text == (GOLDEN / "greedy_bases.json").read_text()
+
+
+def _snf_greedy(c, p, target, pool):
+    """The greedy extraction deciding each candidate by one snf of chosen + orbit."""
+    r = c.rows
+    chosen, blocks, u = [], [], IntMatrix.identity(r)
+    progress = True
+    while progress and len(blocks) < target:
+        progress = False
+        for v in pool:
+            if len(blocks) == target:
+                break
+            orb = [v]
+            for _ in range(p - 1):
+                orb.append(c.apply(orb[-1]))
+            if orb[1] == orb[0]:
+                continue
+            res = snf(IntMatrix.from_cols(chosen + orb, rows=r))
+            if res.rank != len(chosen) + p or any(d != 1 for d in res.diag[: res.rank]):
+                continue
+            chosen, u = chosen + orb, res.u
+            blocks.append(tuple(orb))
+            progress = True
+    return (blocks, u) if len(blocks) == target else None
+
+
+@st.composite
+def _actions_and_pools(draw):
+    """An order-p action on Z^r, a orbits' worth of regular blocks and b fixed
+    coordinates, in random coordinates; a target and a pool of candidates."""
+    p = draw(st.sampled_from([2, 3]))
+    a, b = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    r = a * p + b
+    blocks = [IntMatrix([[1 if i == (j + 1) % p else 0 for j in range(p)] for i in range(p)])] * a
+    c = IntMatrix.block_diag(*blocks, IntMatrix.identity(b))
+    if draw(st.booleans()):
+        w = random_unimodular(random.Random(draw(st.integers(0, 2**16))), r)
+        c = w @ c @ inv_unimodular(w)
+    vector = st.tuples(*[st.integers(-2, 2)] * r)
+    pool = draw(st.lists(vector, min_size=1, max_size=3 * r))
+    return c, p, draw(st.integers(1, a)), pool
+
+
+class TestGreedySearch:
+    @settings(max_examples=150, deadline=None)
+    @given(_actions_and_pools())
+    def test_block_test_decides_as_the_smith_form_of_chosen_and_orbit(self, case):
+        # a candidate is taken exactly when snf of chosen + orbit has full
+        # rank and unit invariants, so both searches take the same orbits and
+        # the certified snf of the final set hands on the same U
+        c, p, target, pool = case
+        assert _extract_orbits(c, p, target, pool) == _snf_greedy(c, p, target, pool)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.lists(st.tuples(*[st.integers(-3, 3)] * 3), max_size=6))
+    def test_rows_span_exactly_when_the_smith_invariants_are_units(self, p, rows):
+        rows = [v[:p] for v in rows]
+        dicts = [{j: x for j, x in enumerate(v) if x} for v in rows]
+        res = snf(IntMatrix(rows, shape=(len(rows), p)))
+        assert _spans_unit_lattice(dicts, p) == (res.diag == (1,) * p)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32), st.integers(0, 40))
+    def test_lazy_pool_reads_the_eager_pool(self, r, seed, reads):
+        eager_rng, lazy_rng = random.Random(seed), random.Random(seed)
+        eager = [_unit(r, i) for i in range(r)]
+        eager += [tuple(eager_rng.randint(-2, 2) for _ in range(r)) for _ in range(4 * r)]
+        pool = _CandidatePool(r, lazy_rng)
+        assert list(itertools.islice(pool, reads)) == eager[:reads]
+        pool.drain()
+        assert lazy_rng.getstate() == eager_rng.getstate()
+        assert list(pool) == eager
+
+    def test_failed_attempts_leave_the_stream_of_eager_pools(self, monkeypatch):
+        # each attempt reads three candidates and fails; the next attempt,
+        # and the next k, must draw where whole pools drawn up front would
+        def three_and_fail(c, p, target, pool):
+            list(itertools.islice(pool, 3))
+
+        monkeypatch.setattr(cyclat.presentation, "_extract_orbits", three_and_fail)
+        rng, eager = random.Random(3), random.Random(3)
+        found, attempts = _greedy_basis(EquivariantLattice(2, Lattice.full(2), SWAP), rng)
+        assert (found, attempts) == (None, GREEDY_ATTEMPTS)
+        for _ in range(GREEDY_ATTEMPTS * 4 * 2 * 2):
+            eager.randint(-2, 2)
+        assert rng.getstate() == eager.getstate()
+
+    def test_an_extraction_of_no_orbit_draws_nothing(self):
+        rng = random.Random(3)
+        state = rng.getstate()
+        eq = EquivariantLattice(2, Lattice.spanned_by([(1, 0), (0, 2)], 2), IntMatrix.identity(2))
+        found, attempts = _greedy_basis(eq, rng)
+        assert attempts == 1 and found.orbit_blocks == ()
+        assert rng.getstate() == state
+
+    def test_a_wrong_block_test_fails_the_smith_certificate(self, monkeypatch):
+        monkeypatch.setattr(cyclat.presentation, "_spans_unit_lattice", lambda rows, p: True)
+        c = IntMatrix([[0, 1], [1, 0]])
+        with pytest.raises(InternalInvariantError, match="Smith form"):
+            _extract_orbits(c, 2, 1, [(1, 1), (1, -1)])

@@ -19,6 +19,7 @@ from cyclat.zmod import (
     random_spec,
     random_unimodular,
     spec_order,
+    spec_rank,
 )
 
 
@@ -97,6 +98,13 @@ class TestBuild:
     @pytest.mark.parametrize("text", ["freeR(1)", "trivfree(2)", "triv(2)+freeR(1)"])
     def test_spec_order_of_an_infinite_shape_is_none(self, text):
         assert spec_order(parse_modspec(text), 2) is None
+
+    @pytest.mark.parametrize(
+        "text", ["triv(4)", "cyclicR(3,2)", "freeR(2)", "trivfree(3)", "triv(2)+freeR(1)+cyclicR(2,1)"]
+    )
+    def test_spec_rank_is_the_rank_build_realizes(self, text):
+        for p in (2, 3, 5):
+            assert spec_rank(parse_modspec(text), p) == build(parse_modspec(text), p).r
 
     def test_shape_merging(self):
         m = direct_sum(build(TrivCyclic(2), 2), build(CyclicR(2, 1), 2))
