@@ -71,6 +71,15 @@ class RayFamily:
         )
 
 
+def _is_permutation(sigma: dict[str, str], pairs: int, items) -> bool:
+    """Whether the dict made from `pairs` pairs maps the set `items` onto itself, one to one."""
+    return (
+        pairs == len(sigma) == len(items)
+        and sigma.keys() == items
+        and set(sigma.values()) == items
+    )
+
+
 @dataclass(frozen=True)
 class GadgetGraph:
     """Immutable graph value; builders are pure, nothing mutates in place.
@@ -96,55 +105,61 @@ class GadgetGraph:
         vs = set(self.vertices)
         if self.emitter is not None and self.emitter not in vs:
             raise PreconditionError("emitter is not a core vertex")
-        seen = set()
+        mult_of: dict[tuple[str, str], int] = {}
+        out_edges: dict[str, list[tuple[str, int]]] = {}
         for (src, dst, mult) in self.edges:
             if src not in vs or dst not in vs:
                 raise PreconditionError(f"edge endpoint outside the core: {src}->{dst}")
             if src == self.emitter:
                 raise PreconditionError("the emitter's edges are implicit")
-            if mult <= 0 or (src, dst) in seen:
+            if mult <= 0 or (src, dst) in mult_of:
                 raise PreconditionError(f"bad edge record {src}->{dst}")
-            seen.add((src, dst))
-        names = [f.name for f in self.rays]
-        if len(set(names)) != len(names):
+            mult_of[(src, dst)] = mult
+            out_edges.setdefault(src, []).append((dst, mult))
+        ray_of = {f.name: f for f in self.rays}
+        if len(ray_of) != len(self.rays):
             raise PreconditionError("duplicate ray names")
         for f in self.rays:
             if f.base not in vs:
                 raise PreconditionError(f"ray {f.name} based outside the core")
-        if sorted(a for a, _ in self.aut_vertices) != sorted(self.vertices) or sorted(
-            b for _, b in self.aut_vertices
-        ) != sorted(self.vertices):
+        sigma_vertex_of, sigma_ray_of = dict(self.aut_vertices), dict(self.aut_rays)
+        if not _is_permutation(sigma_vertex_of, len(self.aut_vertices), vs):
             raise PreconditionError("vertex map is not a permutation of the core")
-        if sorted(a for a, _ in self.aut_rays) != sorted(names) or sorted(
-            b for _, b in self.aut_rays
-        ) != sorted(names):
+        if not _is_permutation(sigma_ray_of, len(self.aut_rays), ray_of.keys()):
             raise PreconditionError("ray map is not a permutation of the rays")
+        # the look-ups below read these dicts; the checks above make their
+        # keys unique, so each gives what a scan for the first match would
+        for name, lookup in (
+            ("_mult_of", mult_of),
+            ("_out_edges", out_edges),
+            ("_ray_of", ray_of),
+            ("_sigma_vertex_of", sigma_vertex_of),
+            ("_sigma_ray_of", sigma_ray_of),
+        ):
+            object.__setattr__(self, name, lookup)
 
     # -- lookups --------------------------------------------------------
 
     def ray(self, name: str) -> RayFamily:
-        for f in self.rays:
-            if f.name == name:
-                return f
-        raise PreconditionError(f"no ray named {name!r}")
+        f = self._ray_of.get(name)
+        if f is None:
+            raise PreconditionError(f"no ray named {name!r}")
+        return f
 
     def edge_mult(self, src: str, dst: str) -> int:
-        for (s, t, m) in self.edges:
-            if s == src and t == dst:
-                return m
-        return 0
+        return self._mult_of.get((src, dst), 0)
 
     def sigma_vertex(self, v: str) -> str:
-        for (a, b) in self.aut_vertices:
-            if a == v:
-                return b
-        raise PreconditionError(f"vertex {v!r} missing from the automorphism")
+        b = self._sigma_vertex_of.get(v)
+        if b is None:
+            raise PreconditionError(f"vertex {v!r} missing from the automorphism")
+        return b
 
     def sigma_ray(self, name: str) -> str:
-        for (a, b) in self.aut_rays:
-            if a == name:
-                return b
-        raise PreconditionError(f"ray {name!r} missing from the automorphism")
+        b = self._sigma_ray_of.get(name)
+        if b is None:
+            raise PreconditionError(f"ray {name!r} missing from the automorphism")
+        return b
 
     def sigma_window(self, name: str) -> str:
         """Automorphism on window vertex names, rays mapped depth to depth."""
@@ -173,7 +188,7 @@ class GadgetGraph:
         """Finite out-edges of a core vertex, ray heads included."""
         if v == self.emitter:
             raise PreconditionError("the emitter has no finite edge list")
-        out = [(dst, mult) for (src, dst, mult) in self.edges if src == v]
+        out = list(self._out_edges.get(v, ()))
         out.extend((f.vertex(1), 1) for f in self.rays if f.orientation == OUTWARD and f.base == v)
         return out
 
@@ -400,17 +415,32 @@ class GroupGraphSpec:
     def labels(self) -> tuple[str, ...]:
         return tuple(a for orbit in self.orbits for a in orbit)
 
-    def pi0_of(self, label: str) -> tuple[int, ...]:
+    @cached_property
+    def _pi0_of(self) -> dict[str, tuple[int, ...]]:
+        out: dict[str, tuple[int, ...]] = {}
         for (a, val) in self.pi0:
-            if a == label:
-                return val
-        raise PreconditionError(f"no pi0 value for {label!r}")
+            out.setdefault(a, val)  # the first value, before validate refuses a repeat
+        return out
+
+    @cached_property
+    def _next_label(self) -> dict[str, str]:
+        out: dict[str, str] = {}
+        for orbit in self.orbits:
+            for i, a in enumerate(orbit):
+                out.setdefault(a, orbit[(i + 1) % len(orbit)])
+        return out
+
+    def pi0_of(self, label: str) -> tuple[int, ...]:
+        val = self._pi0_of.get(label)
+        if val is None:
+            raise PreconditionError(f"no pi0 value for {label!r}")
+        return val
 
     def sigma_label(self, label: str) -> str:
-        for orbit in self.orbits:
-            if label in orbit:
-                return orbit[(orbit.index(label) + 1) % len(orbit)]
-        raise PreconditionError(f"unknown generator {label!r}")
+        b = self._next_label.get(label)
+        if b is None:
+            raise PreconditionError(f"unknown generator {label!r}")
+        return b
 
     def gamma_vec(self, b: Sequence[int]) -> tuple[int, ...]:
         """Push a vector over A forward along the generator permutation."""

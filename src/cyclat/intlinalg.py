@@ -17,6 +17,10 @@ identity so one column operation builds H and U together, while ``Lattice``
 and ``column_rank``, which read H alone, leave the identity out; ``hnf``'s U
 serves only ``solve_columns`` and ``inv_unimodular``.  Each costs in
 proportion to the nonzero entries it meets, not to the size of the matrix.
+A check that reads a product once (the ``snf`` and ``Lattice.solve``
+certificates) takes its rows one at a time from ``product_rows``, so no
+product is held whole and the row dictionaries do not pile up between
+collections of the cyclic garbage collector.
 
 Conventions that the rest of the package leans on:
 
@@ -30,16 +34,27 @@ Conventions that the rest of the package leans on:
   pivot at step k is the smallest |entry| of the remaining block, ties going
   to the first in row-major order; the transforms, and with them the K0
   coordinates of the graph layer, depend on this rule and on the order of
-  the row and column operations that follow it, so both are fixed.
+  the row and column operations that follow it, so both are fixed.  The
+  certificate checks ``U^-1 @ U == I`` first and then ``A @ V == U^-1 @ S``,
+  which for the square U is the same as ``U @ A @ V == S`` and never forms
+  the product of U, often the densest of the four, with A.
 * ``Lattice.preimage`` is the one home of ``{w : A w in L}``, read off a
-  single stacked elimination: fixed submodules, norm kernels, presentation
-  kernels, group relations, ``kernel_basis`` and ``Lattice.intersect``.
+  single stacked elimination: fixed submodules, norm kernels, group
+  relations, ``kernel_basis`` and ``Lattice.intersect``.  A basis known in
+  closed form enters through ``Lattice._from_hermite``, which checks the
+  canonical shape in one pass and runs no elimination; its caller certifies
+  that the basis spans the right lattice (the presentation kernels: by
+  containment plus index).
+* ``is_unimodular`` decides |det| = 1 by peeling rows with one nonzero entry
+  and one Hermite elimination of the rest; a lattice's basis change is
+  checked with it rather than by a second elimination of the new basis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
@@ -139,7 +154,8 @@ class IntMatrix:
             rows = len(columns[0])
         if any(len(c) != rows for c in columns):
             raise PreconditionError("ragged columns")
-        cols = [{i: int(x) for i, x in enumerate(c) if x} for c in columns]
+        # compress walks the zeros at C speed, so only nonzero entries reach Python
+        cols = [{i: int(c[i]) for i in compress(range(rows), c)} for c in columns]
         return cls._wrap(cols, len(cols), rows).transpose()
 
     @classmethod
@@ -189,6 +205,10 @@ class IntMatrix:
             out[j] = x
         return tuple(out)
 
+    def nonzeros(self, i: int):
+        """The nonzero entries of row i, as (column, entry) pairs."""
+        return self._ent[i].items()
+
     def col(self, j: int) -> tuple[int, ...]:
         j = range(self.cols)[j]
         return tuple(row.get(j, 0) for row in self._ent)
@@ -205,10 +225,14 @@ class IntMatrix:
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
         """Rows row_idx and columns col_idx, in that order; indices may repeat."""
         cols = [range(self.cols)[j] for j in col_idx]
+        pos = {j: k for k, j in enumerate(cols)}
         out = []
         for i in row_idx:
             row = self._ent[i]
-            out.append({k: row[j] for k, j in enumerate(cols) if j in row})
+            if len(pos) == len(cols) and len(row) < len(cols):  # no repeats: walk the row
+                out.append({pos[j]: x for j, x in row.items() if j in pos})
+            else:
+                out.append({k: row[j] for k, j in enumerate(cols) if j in row})
         return IntMatrix._wrap(out, len(out), len(cols))
 
     def transpose(self) -> "IntMatrix":
@@ -256,18 +280,24 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
+        return IntMatrix._wrap(list(self.product_rows(other)), self.rows, other.cols)
+
+    def product_rows(self, other: "IntMatrix"):
+        """The rows of self @ other as {column: nonzero entry}, one at a time.
+
+        Row i sums self[i, k] times row k of other.  A check that reads the
+        product once goes through these, so the whole product is never held.
+        """
         if self.cols != other.rows:
             raise PreconditionError(
                 f"shape mismatch: ({self.rows}x{self.cols}) @ ({other.rows}x{other.cols})"
             )
         brows = other._ent
-        out = []
         for row in self._ent:
             acc = {}
             for k, a in row.items():
                 _addmul(acc, brows[k], a)
-            out.append(acc)
-        return IntMatrix._wrap(out, self.rows, other.cols)
+            yield acc
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product as a plain tuple."""
@@ -427,9 +457,11 @@ def _hermite_solve(h: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
                 _addmul(rest, y[j], -c)
         if k in hrow:
             p = hrow[k]
-            if any(x % p for x in rest.values()):
-                return None
-            y.append({col: x // p for col, x in rest.items()})
+            if p != 1:
+                if any(x % p for x in rest.values()):
+                    return None
+                rest = {col: x // p for col, x in rest.items()}
+            y.append(rest)
         elif rest:
             return None
     return IntMatrix._wrap(y + [{} for _ in range(h.cols - len(y))], h.cols, b.cols)
@@ -450,6 +482,70 @@ def column_rank(a: IntMatrix) -> int:
     return len(_hermite_columns(list(a.transpose()._ent), a.rows))
 
 
+def _unit_pivots(cols: list[dict[int, int]], m: int) -> bool:
+    """Whether the columns {row < m: entry} span Z^m: their Hermite form, made in place,
+    has m pivots, all 1."""
+    return len(_hermite_columns(cols, m)) == m and all(cols[i][i] == 1 for i in range(m))
+
+
+def is_unimodular(a: IntMatrix) -> bool:
+    """Whether a is square with determinant +-1.
+
+    Rows with a single nonzero entry are peeled first, as in structured
+    Gaussian elimination: expanding the determinant along such a row leaves
+    that entry, which must be +-1, times the minor without its row and
+    column, and removing the column may leave more such rows.  One Hermite
+    elimination of what remains must then give unit pivots only.
+    """
+    n = a.rows
+    if a.cols != n:
+        return False
+    rows: list = list(a._ent)  # None once peeled; a row is copied before its first change
+    copied = [False] * n
+    in_col = [0] * n  # the rows holding each column, as a bit mask: bit i for row i
+    single = []
+    for i, row in enumerate(rows):
+        if len(row) == 1:
+            single.append(i)
+        for j in row:
+            in_col[j] |= 1 << i
+    left = n
+    while single:
+        i = single.pop()
+        row = rows[i]
+        if row is None:
+            continue
+        if not row:
+            return False  # emptied by the peels: the determinant is 0
+        ((j, x),) = row.items()
+        if x != 1 and x != -1:
+            return False
+        rows[i] = None
+        left -= 1
+        others = in_col[j]
+        while others:
+            low = others & -others
+            others ^= low
+            k = low.bit_length() - 1
+            rest = rows[k]
+            if rest is not None and j in rest:
+                if not copied[k]:
+                    rest = rows[k] = dict(rest)
+                    copied[k] = True
+                del rest[j]
+                if len(rest) <= 1:
+                    single.append(k)
+    pos: dict[int, int] = {}  # the columns left, numbered as met
+    cols: list[dict[int, int]] = []
+    for k, row in enumerate(row for row in rows if row is not None):
+        for j, x in row.items():
+            if j not in pos:
+                pos[j] = len(cols)
+                cols.append({})
+            cols[pos[j]][k] = x
+    return len(cols) == left and _unit_pivots(cols, left)
+
+
 # -- Smith form ----------------------------------------------------------------
 
 
@@ -461,14 +557,27 @@ class SnfResult:
     s: IntMatrix
     v: IntMatrix
     u_inv: IntMatrix
+    diag: tuple[int, ...] = field(init=False, repr=False)
+    rank: int = field(init=False, repr=False)
 
-    @property
-    def diag(self) -> tuple[int, ...]:
-        return tuple(self.s[i, i] for i in range(min(self.s.rows, self.s.cols)))
+    def __post_init__(self):
+        diag = tuple(self.s._ent[i].get(i, 0) for i in range(min(self.s.rows, self.s.cols)))
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "rank", sum(1 for d in diag if d != 0))
 
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diag if d != 0)
+
+def _certify_snf(a: IntMatrix, res: SnfResult) -> None:
+    """InternalInvariantError unless U^-1 @ U == I and A @ V == U^-1 @ S.
+
+    For the square U the pair is equivalent to U @ A @ V == S with U^-1 the
+    inverse of U, and no product forms U @ A, which is dense when U is: S is
+    diagonal, so U^-1 @ S only scales columns of U^-1.
+    """
+    rows = enumerate(res.u_inv.product_rows(res.u))
+    if not all(len(row) == 1 and row.get(i) == 1 for i, row in rows):
+        raise InternalInvariantError("snf inverse transform identity failed")
+    if any(x != y for x, y in zip(a.product_rows(res.v), res.u_inv.product_rows(res.s))):
+        raise InternalInvariantError("snf transform identity failed")
 
 
 def snf(a: IntMatrix) -> SnfResult:
@@ -479,10 +588,11 @@ def snf(a: IntMatrix) -> SnfResult:
     operations and its row by column operations, and repeats until both are
     clear; a pivot that does not divide the rest of the block gets the first
     such row added to its own.  Rows of S and U and columns of V are held as
-    {index: nonzero entry}, so each of these passes touches the nonzero
-    entries of the block, plus one lookup per remaining row to find the
-    pivot column.  Columns are swapped through the permutation ``order``
-    instead of moving entries.  Each row operation is undone on the columns
+    {index: nonzero entry}, and ``holds`` keeps the rows of S holding each
+    column key, so each of these passes touches the nonzero entries of the
+    block and the pivot column's rows are found without a scan.  Columns
+    are swapped through the permutation ``order`` instead of moving
+    entries.  Each row operation is undone on the columns
     of U^-1 (swap, col_k += q col_i, negate, col_o -= col_k), so U^-1 comes
     out of the same elimination.
     """
@@ -493,6 +603,20 @@ def snf(a: IntMatrix) -> SnfResult:
     v = [{j: 1} for j in range(n)]  # V column of each column key of s
     order = list(range(n))  # column key at each position of S
     place = list(range(n))  # position of each column key
+    # the rows of S holding each column key, as a bit mask: bit i for row i
+    holds = [0] * n
+    for i, row in enumerate(s):
+        for j in row:
+            holds[j] |= 1 << i
+
+    def track(i: int, keys) -> None:
+        """Record which of these column keys row i of S holds now."""
+        row, bit = s[i], 1 << i
+        for j in keys:
+            if j in row:
+                holds[j] |= bit
+            else:
+                holds[j] &= ~bit
 
     for k in range(min(m, n)):
         while True:
@@ -516,6 +640,9 @@ def snf(a: IntMatrix) -> SnfResult:
                 s[k], s[bi] = s[bi], s[k]
                 u[k], u[bi] = u[bi], u[k]
                 ui[k], ui[bi] = ui[bi], ui[k]
+                both = [*s[k], *s[bi]]
+                track(k, both)
+                track(bi, both)
             if bt != k:
                 jk, jt = order[k], order[bt]
                 order[k], order[bt] = jt, jk
@@ -525,17 +652,23 @@ def snf(a: IntMatrix) -> SnfResult:
             p = srow[pk]
             dirty = False
             pivot_col = [k]  # rows left with a nonzero entry in the pivot column
-            for i in range(k + 1, m):
-                x = s[i].get(pk)
-                if x:
-                    q = x // p
-                    if q:
-                        _addmul(s[i], srow, -q)
-                        _addmul(u[i], u[k], -q)
-                        _addmul(ui[k], ui[i], q)
-                    if pk in s[i]:
-                        dirty = True
-                        pivot_col.append(i)
+            # rows above k hold nothing from position k on, and each row
+            # operation changes its own row only, so the rows to clear are
+            # those below k holding pk now, in increasing order
+            below = holds[pk] >> (k + 1)
+            while below:
+                low = below & -below
+                below ^= low
+                i = k + low.bit_length()
+                q = s[i][pk] // p
+                if q:
+                    _addmul(s[i], srow, -q)
+                    track(i, srow)
+                    _addmul(u[i], u[k], -q)
+                    _addmul(ui[k], ui[i], q)
+                if pk in s[i]:
+                    dirty = True
+                    pivot_col.append(i)
             for j, x in list(srow.items()):
                 if j == pk:
                     continue
@@ -546,8 +679,10 @@ def snf(a: IntMatrix) -> SnfResult:
                         y = row.get(j, 0) - q * row[pk]
                         if y:
                             row[j] = y
+                            holds[j] |= 1 << i
                         else:
                             row.pop(j, None)
+                            holds[j] &= ~(1 << i)
                     _addmul(v[j], v[pk], -q)
                 if j in srow:
                     dirty = True
@@ -565,21 +700,21 @@ def snf(a: IntMatrix) -> SnfResult:
             if offender is None:
                 break
             _addmul(s[k], s[offender], 1)
+            track(k, s[offender])
             _addmul(u[k], u[offender], 1)
             _addmul(ui[offender], ui[k], -1)
         if not best:
             break
 
+    for i, row in enumerate(s):  # each working row gives way to its row of S
+        s[i] = {place[j]: x for j, x in row.items()}
     res = SnfResult(
         IntMatrix._wrap(u, m, m),
-        IntMatrix._wrap([{place[j]: x for j, x in row.items()} for row in s], m, n),
+        IntMatrix._wrap(s, m, n),
         IntMatrix._wrap([v[j] for j in order], n, n).transpose(),
         IntMatrix._wrap(ui, m, m).transpose(),
     )
-    if res.u @ a @ res.v != res.s:
-        raise InternalInvariantError("snf transform identity failed")
-    if res.u_inv @ res.u != IntMatrix.identity(m):
-        raise InternalInvariantError("snf inverse transform identity failed")
+    _certify_snf(a, res)
     return res
 
 
@@ -614,6 +749,37 @@ class Lattice:
 
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")
+
+    @classmethod
+    def _from_hermite(cls, ambient: int, basis: IntMatrix) -> "Lattice":
+        """The lattice whose canonical basis is ``basis``, with no elimination.
+
+        One pass down the rows checks the shape ``Lattice`` would produce:
+        every column nonzero, each row either the next column's pivot row
+        (pivot positive, entries to its left in [0, pivot), none to its
+        right) or a row with entries in pivoted columns only.  A basis of
+        any other shape raises InternalInvariantError.
+        """
+        if basis.rows != ambient:
+            raise PreconditionError(f"basis has {basis.rows} rows in ambient Z^{ambient}")
+        pivot_rows = []
+        for i, row in enumerate(basis._ent):
+            k = len(pivot_rows)
+            p = row.get(k)
+            if p is None:
+                ok = all(j < k for j in row)
+            else:
+                ok = p > 0 and all(j < k and 0 <= x < p for j, x in row.items() if j != k)
+                pivot_rows.append(i)
+            if not ok:
+                raise InternalInvariantError(f"basis is not in Hermite form at row {i}")
+        if len(pivot_rows) != basis.cols:
+            raise InternalInvariantError("basis is not in Hermite form: a column has no pivot")
+        out = object.__new__(cls)
+        object.__setattr__(out, "ambient", ambient)
+        object.__setattr__(out, "basis", basis)
+        object.__setattr__(out, "_pivot_rows", tuple(pivot_rows))
+        return out
 
     @classmethod
     def full(cls, n: int) -> "Lattice":
@@ -657,7 +823,7 @@ class Lattice:
         if b.rows != self.ambient:
             raise PreconditionError("ambient dimensions differ")
         x = _hermite_solve(self.basis, b)
-        if x is not None and self.basis @ x != b:
+        if x is not None and any(r != w for r, w in zip(self.basis.product_rows(x), b._ent)):
             raise InternalInvariantError("Lattice.solve verification failed")
         return x
 

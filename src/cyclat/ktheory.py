@@ -10,11 +10,14 @@ this closure is trusted blindly; stabilization_check recomputes everything
 at several depths and demands agreement.
 
 K0 is the cokernel of the boundary matrix, presented through Smith normal
-form; K1 is its kernel, read off the same Smith form: the columns of the
-column transform V past the rank span it, and their canonical basis is
-checked to be annihilated by the boundary matrix.  The graph automorphism
-permutes window vertices and relation columns compatibly, which induces
-exact integer actions on both groups.
+form U A V = S; only the rows J of U whose invariant factor is not 1 carry
+K0 coordinates, and every check built on U reads those rows alone.  K1 is
+the kernel, read off the same Smith form: the columns of the column
+transform V past the rank span it, are checked to be annihilated by the
+boundary matrix, and give the K1 rank; their canonical basis, a Lattice,
+is built the first time it is read.  The graph automorphism permutes window
+vertices and relation columns compatibly, which induces exact integer
+actions on both groups.
 
 A depth-L window of a graph with c core vertices and r rays has c + r*L
 vertices (see GadgetGraph.window_size); the CLI refuses a window larger
@@ -24,6 +27,7 @@ than MAX_WINDOW before building it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from .errors import InternalInvariantError, PreconditionError
@@ -57,6 +61,14 @@ class BoundaryMatrix:
     col_index: tuple[str, ...]
     matrix: IntMatrix
 
+    @cached_property
+    def row_pos(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.row_index)}
+
+    @cached_property
+    def col_pos(self) -> dict[str, int]:
+        return {v: j for j, v in enumerate(self.col_index)}
+
 
 def boundary_matrix(g: GadgetGraph, depth: int) -> BoundaryMatrix:
     """Net relation columns of the depth-L window.
@@ -78,21 +90,17 @@ def boundary_matrix(g: GadgetGraph, depth: int) -> BoundaryMatrix:
         for j in range(1, depth + 2):
             candidates.append((f.vertex(j), g.ray_targets(f, j)))
     keys = []
-    cols = []
+    rows = [{} for _ in window]  # the kept columns, written into the rows they meet
     for (name, targets) in candidates:
-        net: dict[str, int] = {}
+        net = {name: -1}
         for (t, m) in targets:
             net[t] = net.get(t, 0) + m
-        net[name] = net.get(name, 0) - 1
-        net = {t: c for t, c in net.items() if c}
-        if any(t not in pos for t in net):
-            continue
-        col = [0] * len(window)
-        for t, c in net.items():
-            col[pos[t]] = c
-        keys.append(name)
-        cols.append(col)
-    return BoundaryMatrix(window, tuple(keys), IntMatrix.from_cols(cols, rows=len(window)))
+        if all(t in pos for t, c in net.items() if c):
+            for t, c in net.items():
+                if c:
+                    rows[pos[t]][len(keys)] = c
+            keys.append(name)
+    return BoundaryMatrix(window, tuple(keys), IntMatrix._wrap(rows, len(window), len(keys)))
 
 
 # -- K-groups ---------------------------------------------------------------
@@ -104,9 +112,12 @@ class KResult:
 
     invariants describe K0; coord_orders gives the order of each retained
     SNF coordinate (0 meaning free), and vertex classes are coordinate
-    tuples over those.  k1 is the kernel of the boundary matrix.  u_inv,
-    the inverse of the SNF row transform, comes from the same elimination.
-    The induced automorphism matrices are filled in by induced_action.
+    tuples over those.  _uj holds the retained rows _jrows of the SNF row
+    transform U, the only rows any K0 coordinate reads; u_inv, the inverse
+    of U, comes from the same elimination.  _k1_cols are the columns of V
+    spanning the kernel of the boundary matrix, and k1, that kernel as a
+    Lattice, is built when first read.  The induced automorphism matrices
+    are filled in by induced_action.
     """
 
     depth: int
@@ -114,12 +125,16 @@ class KResult:
     invariants: QuotientInvariants
     coord_orders: tuple[int, ...]
     vertex_classes: dict[str, tuple[int, ...]]
-    k1: Lattice
-    _u: IntMatrix = field(repr=False)
+    _k1_cols: IntMatrix = field(repr=False)
+    _uj: IntMatrix = field(repr=False)
     u_inv: IntMatrix = field(repr=False)
     _jrows: tuple[int, ...] = field(repr=False)
     induced_k0: Optional[IntMatrix] = None
     induced_k1: Optional[IntMatrix] = None
+
+    @cached_property
+    def k1(self) -> Lattice:
+        return Lattice(self._k1_cols.rows, self._k1_cols)
 
     @property
     def k1_basis(self) -> IntMatrix:
@@ -127,7 +142,8 @@ class KResult:
 
     @property
     def k1_rank(self) -> int:
-        return self.k1.rank
+        # V is unimodular, so its kernel columns are independent
+        return self._k1_cols.cols
 
     def reduce_class(self, vec) -> tuple[int, ...]:
         return tuple(x % d if d else x for x, d in zip(vec, self.coord_orders))
@@ -137,10 +153,10 @@ class KResult:
 
     def class_of(self, name: str) -> tuple[int, ...]:
         """K0 coordinates of a window vertex's class."""
-        if name not in self.boundary.row_index:
+        i = self.boundary.row_pos.get(name)
+        if i is None:
             raise PreconditionError(f"{name!r} is not a window vertex")
-        i = self.boundary.row_index.index(name)
-        return self.reduce_class(tuple(self._u[j, i] for j in self._jrows))
+        return self.reduce_class(self._uj.col(i))
 
 
 def compute_k(g: GadgetGraph, depth: int) -> KResult:
@@ -156,8 +172,8 @@ def compute_k(g: GadgetGraph, depth: int) -> KResult:
     invariants = QuotientInvariants(tuple(d for d in diag[:rank] if d > 1), n - rank)
     # V is unimodular and U A V = S, so V's columns past the rank span ker A
     ncols = bnd.matrix.cols
-    k1 = Lattice(ncols, res.v.submatrix(range(ncols), range(rank, ncols)))
-    if not (bnd.matrix @ k1.basis).is_zero():
+    k1_cols = res.v.submatrix(range(ncols), range(rank, ncols))
+    if any(bnd.matrix.product_rows(k1_cols)):
         raise InternalInvariantError("K1 basis is not in the kernel of the boundary matrix")
     kr = KResult(
         depth=depth,
@@ -165,8 +181,8 @@ def compute_k(g: GadgetGraph, depth: int) -> KResult:
         invariants=invariants,
         coord_orders=coord_orders,
         vertex_classes={},
-        k1=k1,
-        _u=res.u,
+        _k1_cols=k1_cols,
+        _uj=res.u.submatrix(jrows, range(n)),
         u_inv=res.u_inv,
         _jrows=jrows,
     )
@@ -180,32 +196,35 @@ def induced_action(g: GadgetGraph, kr: KResult) -> KResult:
 
     The vertex permutation sends relation columns to relation columns, so
     conjugating into SNF coordinates yields a K0 matrix on the retained
-    coordinates and a change-of-basis solve yields the K1 matrix.
+    coordinates and a change-of-basis solve yields the K1 matrix.  The
+    conjugate U P U^-1 is well defined on K0 when row i times column j's
+    invariant factor d_j is a multiple of d_i; only the retained rows J
+    are computed, since every other row has d_i = 1, where that always
+    holds.
     """
     validate_automorphism(g)
     bnd = kr.boundary
     for c in bnd.col_index:
-        if g.sigma_window(c) not in bnd.col_index:
+        if g.sigma_window(c) not in bnd.col_pos:
             raise InternalInvariantError(f"column {c!r} maps outside the column set")
     p_row, p_col = (
-        IntMatrix.unit_columns(len(names), [names.index(g.sigma_window(v)) for v in names])
-        for names in (bnd.row_index, bnd.col_index)
+        IntMatrix.unit_columns(len(names), [pos[g.sigma_window(v)] for v in names])
+        for names, pos in ((bnd.row_index, bnd.row_pos), (bnd.col_index, bnd.col_pos))
     )
-    if p_row @ bnd.matrix != bnd.matrix @ p_col:
+    permuted = zip(p_row.product_rows(bnd.matrix), bnd.matrix.product_rows(p_col))
+    if any(x != y for x, y in permuted):
         raise InternalInvariantError("vertex permutation does not permute relations")
 
-    atilde = kr._u @ p_row @ kr.u_inv
-    n = bnd.matrix.rows
-    rank = n - kr.invariants.free_rank
+    atilde = kr._uj @ p_row @ kr.u_inv  # rows J of U P U^-1
+    rank = bnd.matrix.rows - kr.invariants.free_rank
     diag = {i: d for i, d in zip(kr._jrows, kr.coord_orders)}
-    dcols = [diag.get(j, 1) for j in range(rank)]
-    for i, row in enumerate(atilde.entries()):
-        di = diag.get(i, 1) if i < rank else 0
-        for dj, x in zip(dcols, row):
-            val = dj * x
-            if (di == 0 and val != 0) or (di and val % di):
-                raise InternalInvariantError("induced K0 action is not well defined")
-    m0 = kr.reduce_matrix(atilde.submatrix(kr._jrows, kr._jrows))
+    for k, di in enumerate(kr.coord_orders):
+        for j, x in atilde.nonzeros(k):
+            if j < rank:
+                val = diag.get(j, 1) * x
+                if (di == 0 and val != 0) or (di and val % di):
+                    raise InternalInvariantError("induced K0 action is not well defined")
+    m0 = kr.reduce_matrix(atilde.submatrix(range(atilde.rows), kr._jrows))
     for v in g.vertices:
         if kr.reduce_class(m0.apply(kr.class_of(v))) != kr.class_of(g.sigma_vertex(v)):
             raise InternalInvariantError(f"induced K0 action disagrees at {v!r}")
@@ -228,7 +247,7 @@ def core_class_relations(kr: KResult) -> Lattice:
     """
     core = [i for i, v in enumerate(kr.boundary.row_index) if "[" not in v]
     # the K0 coordinates of the core classes, and the relations among K0 coordinates
-    classes = kr._u.submatrix(kr._jrows, core)
+    classes = kr._uj.submatrix(range(kr._uj.rows), core)
     return Lattice(len(kr.coord_orders), IntMatrix.diag(kr.coord_orders)).preimage(classes)
 
 
@@ -251,10 +270,12 @@ def stabilization_check(g: GadgetGraph, depths=(2, 3, 4)) -> TruncationReport:
     depths = tuple(depths)
     if len(depths) < 2 or any(d < 2 for d in depths):
         raise PreconditionError("need at least two depths, all >= 2")
-    results = [compute_k(g, d) for d in depths]
-    invariants = tuple(r.invariants for r in results)
-    k1_ranks = tuple(r.k1_rank for r in results)
-    relations = tuple(core_class_relations(r) for r in results)
+    # one window at a time, keeping only what the comparison reads
+    summaries = []
+    for d in depths:
+        kr = compute_k(g, d)
+        summaries.append((kr.invariants, kr.k1_rank, core_class_relations(kr)))
+    invariants, k1_ranks, relations = zip(*summaries)
     stable = (
         all(x == invariants[0] for x in invariants)
         and all(x == k1_ranks[0] for x in k1_ranks)
@@ -370,8 +391,8 @@ def verify_group_graph(g: GadgetGraph, spec: GroupGraphSpec, depth: int = 3) -> 
 
     weights = _generator_weights(kr.boundary.row_index, spec)
     rel = spec.group_rel
-    # the map K0 -> G on the retained SNF coordinates
-    phi = (weights @ kr.u_inv).submatrix(range(spec.group_rank), kr._jrows)
+    # the map K0 -> G on the retained SNF coordinates: columns J of U^-1
+    phi = weights @ kr.u_inv.submatrix(range(kr.u_inv.rows), kr._jrows)
 
     def check_iso():
         mapped = weights @ kr.boundary.matrix
@@ -392,12 +413,15 @@ def verify_group_graph(g: GadgetGraph, spec: GroupGraphSpec, depth: int = 3) -> 
     run("k1-trivial", lambda: (kr.k1_rank == 0, f"kernel rank {kr.k1_rank}"))
 
     def check_functorial():
-        mapped = kr._u @ kr.boundary.matrix
-        rows = [mapped.row(i) for i in kr._jrows]
-        for j in range(mapped.cols):
-            col = kr.reduce_class(tuple(row[j] for row in rows))
-            if any(col):
-                return False, f"relation column {kr.boundary.col_index[j]} has nonzero class"
+        mapped = kr._uj @ kr.boundary.matrix  # the K0 coordinates of each relation column
+        bad = [
+            j
+            for k, d in enumerate(kr.coord_orders)
+            for j, x in mapped.nonzeros(k)
+            if (x % d if d else x)
+        ]
+        if bad:
+            return False, f"relation column {kr.boundary.col_index[min(bad)]} has nonzero class"
         return True, "every relation column has zero class"
 
     run("class-map-functoriality", check_functorial)

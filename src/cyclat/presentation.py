@@ -8,12 +8,19 @@ where Z^M is free on the elements of M (basis written x-hat), the middle
 map sends x-hat to x, and the group acts on Z^M by permuting the basis.
 This module builds that row, constructs explicit bases of N that split
 into free orbits and fixed vectors, and stabilizes by regular summands
-when a direct search needs the extra room.  For a direct sum of Z/n and
-R/(q^k) leaves the split basis is read off in one pass over the module's
-own element orbits: 0-hat, each leaf's vectors, and the cross vectors
-that tie each leaf to the leaves before it.  Any other lattice is split by
-a seeded greedy search: free orbits of candidate vectors, each accepted
-when a p-column Hermite elimination says it keeps the chosen set primitive,
+when a direct search needs the extra room.
+
+N's canonical Hermite basis is written in closed form, one walk over the
+elements from last to first (see _kernel_hermite), and certified by its
+shape, by containment and by its index |M| instead of by an elimination.
+For a direct sum of Z/n and R/(q^k) leaves the split basis is read off in
+one pass over the module's own element orbits: 0-hat, each leaf's vectors,
+and the cross vectors that tie each leaf to the leaves before it.  Once
+verified, that basis is also the noncyclotomy verdict: a lattice with a
+free-plus-fixed basis has the twist image as its norm kernel.  Any other
+lattice compares the two lattices for the verdict, and is split by a
+seeded greedy search: free orbits of candidate vectors, each accepted when
+a p-column Hermite elimination says it keeps the chosen set primitive,
 then fixed vectors completing them; one certified Smith form per completed
 search hands the completion its transform.
 """
@@ -32,7 +39,7 @@ from .errors import (
     SearchExhausted,
 )
 from .intlinalg import IntMatrix, Lattice, column_rank, kernel_basis, snf, solve_columns
-from .intlinalg import _hermite_columns
+from .intlinalg import _hermite_columns, _unit_pivots, is_unimodular
 from .zmod import CyclicR, DirectSum, FinMod, TrivCyclic, build, direct_sum
 
 GREEDY_ATTEMPTS = 6
@@ -82,12 +89,12 @@ class EquivariantLattice:
     """A sublattice of Z^n kept stable by an ambient action of order p.
 
     `provenance` optionally records the finite module whose presentation
-    kernel this is; the basis search uses its shape to take the
-    constructive route instead of searching, without presenting the module
-    again.
+    kernel this is; when it has a shape, the constructive split basis
+    settles noncyclotomy and is kept for the basis search, without
+    presenting the module again.
     """
 
-    __slots__ = ("p", "lattice", "action", "provenance", "_restricted", "_witness")
+    __slots__ = ("p", "lattice", "action", "provenance", "_restricted", "_witness", "_basis")
 
     def __init__(self, p: int, lattice: Lattice, action: IntMatrix, provenance=None):
         n = lattice.ambient
@@ -105,6 +112,7 @@ class EquivariantLattice:
         self.provenance = provenance
         self._restricted = restricted
         self._witness = _UNDECIDED
+        self._basis = None
 
     @property
     def rank(self) -> int:
@@ -127,11 +135,18 @@ class EquivariantLattice:
 
         Given in lattice coordinates.  The twist image always sits inside
         the norm kernel, so the two differ exactly when some basis vector
-        of the kernel falls outside.  Searched on the first call and kept:
-        the lattice and its action never change.
+        of the kernel falls outside.  Decided on the first call and kept:
+        the lattice and its action never change.  A lattice with a verified
+        split basis is Z[C_p]^a + Z^b, where the norm kernel is the twist
+        image (Diederichsen-Reiner; Curtis-Reiner, Methods I, section 34),
+        so when the provenance's shape gives the constructive basis, that
+        basis is the verdict and is kept for find_invariant_basis; any
+        other lattice compares the two lattices in _search_witness.
         """
         if self._witness is _UNDECIDED:
-            self._witness = self._search_witness()
+            if self.provenance is not None:
+                self._basis = _constructive_basis(self)
+            self._witness = None if self._basis is not None else self._search_witness()
         return self._witness
 
     def _search_witness(self) -> Optional[tuple[int, ...]]:
@@ -194,19 +209,63 @@ class AugPresentation:
         return self.kernel
 
 
+def _kernel_hermite(M: FinMod, elements) -> IntMatrix:
+    """The canonical Hermite basis H of {w : sum w_k x_k = 0 in M}, in closed form.
+
+    H is lower triangular.  Its diagonal entry d_k is the order of x_k
+    modulo S = <x_(k+1), ..., x_(m-1)>, and S is the set of sums of a_t x_t
+    over the tail T of the indices t > k with d_t > 1, each a_t in
+    [0, d_t) and each sum met once.  So column k is d_k e_k plus these
+    mixed-radix coefficients of -d_k x_k on T, which are reduced as the
+    Hermite form wants, and every row outside T is a unit row.  The walk
+    goes from the last element to the first and keeps S as a dict from each
+    element s to the coefficients of -s; when d_k > 1, k joins T and S
+    grows by the multiples of x_k.  The rows come out in Lattice's layout.
+    """
+    m, reduce = len(elements), M.rel.reduce
+    neg = {elements[0]: {}}  # the zero element, whose negative has no coefficients
+    rows = [{} for _ in range(m)]
+    for k in range(m - 1, -1, -1):
+        x = elements[k]
+        multiples = [x]  # a x for a = 1, ..., d_k - 1
+        y = x
+        while y not in neg:
+            y = reduce([a + b for a, b in zip(y, x)])
+            multiples.append(y)
+        multiples.pop()  # y = d_k x, which lies in S
+        rows[k][k] = len(multiples) + 1
+        for t, a in neg[y].items():
+            rows[t][k] = a
+        if multiples:
+            old = list(neg)
+            for a, ax in enumerate(multiples, 1):
+                for u in old:
+                    # -(u - a x) = a x + (-u)
+                    neg[reduce([b - e for b, e in zip(u, ax)])] = {**neg[u], k: a}
+    return IntMatrix._wrap(rows, m, m)
+
+
 def build_aug(M: FinMod) -> AugPresentation:
-    """Present a finite module by the free abelian group on its elements."""
+    """Present a finite module by the free abelian group on its elements.
+
+    The kernel's canonical basis H comes from _kernel_hermite and is
+    certified three ways before use: Lattice._from_hermite checks its
+    Hermite shape in one pass, M.rel.solve(pi @ H) puts every column in the
+    kernel, and the product of its diagonal is |M|.  The kernel has index |M|
+    too, since pi maps onto M, so a full-rank sublattice of it with that
+    index is all of it (Cohen, GTM 138, section 2.4).
+    """
     if not M.is_finite():
         raise PreconditionError(UNPRESENTABLE)
     elements = tuple(M.enumerate())
     pi = IntMatrix.from_cols(elements, rows=M.r)
     m = len(elements)
     action = IntMatrix.unit_columns(m, M.action_permutation())
-    n = M.rel.preimage(pi)
-    if n.rank != m:
-        raise InternalInvariantError("presentation kernel must have full rank")
-    if not n.member(_unit(m, M.index_of((0,) * M.r))):
-        raise InternalInvariantError("zero-hat must lie in the kernel")
+    n = Lattice._from_hermite(m, _kernel_hermite(M, elements))
+    if M.rel.solve(pi @ n.basis) is None:
+        raise InternalInvariantError("presentation kernel basis maps outside the relations")
+    if n.index() != M.order():
+        raise InternalInvariantError("presentation kernel basis has the wrong index")
     try:
         kernel = EquivariantLattice(M.p, n, action, provenance=M)
     except PreconditionError as exc:
@@ -253,21 +312,26 @@ class InvariantBasis:
         if len(vecs) != self.ambient.rank:
             raise InternalInvariantError("basis size differs from the lattice rank")
         mat = IntMatrix.from_cols(vecs, rows=n)
-        if Lattice(n, mat) != self.ambient:
+        # rank-many vectors of the lattice span it when their coordinates
+        # in its basis form a matrix of determinant +-1
+        coords = self.ambient.solve(mat)
+        if coords is None or not is_unimodular(coords):
             raise InternalInvariantError("vectors do not span the lattice")
         # one product moves every vector: each block vector must land on the
-        # next one of its block, and each fixed vector must stay put
-        moved = (self.action @ mat).columns()
+        # next one of its block, and each fixed vector must stay put; the
+        # columns are compared as {row: nonzero entry}
+        cols = mat.transpose()._ent
+        moved = (self.action @ mat).transpose()._ent
         start = len(self.fixed_vectors)
         for blk in self.orbit_blocks:
             if len(blk) != self.p:
                 raise InternalInvariantError("orbit block of the wrong length")
             if blk[0] == blk[(1 % self.p)] and self.p > 1:
                 raise InternalInvariantError("orbit block has period 1")
-            if any(moved[start + i] != blk[(i + 1) % self.p] for i in range(self.p)):
+            if any(moved[start + i] != cols[start + (i + 1) % self.p] for i in range(self.p)):
                 raise InternalInvariantError("orbit block is not a p-cycle")
             start += self.p
-        if moved[: len(self.fixed_vectors)] != list(self.fixed_vectors):
+        if moved[: len(self.fixed_vectors)] != cols[: len(self.fixed_vectors)]:
             raise InternalInvariantError("fixed vector moves under the action")
 
     def summary(self) -> str:
@@ -460,9 +524,7 @@ def _orbit_of(c: IntMatrix, v: tuple[int, ...], p: int) -> list[tuple[int, ...]]
 def _spans_unit_lattice(rows: Sequence[dict[int, int]], p: int) -> bool:
     """Whether the vectors {j < p: entry} span Z^p: their Hermite form has p unit pivots."""
     cols = [dict(b) for b in rows if b]
-    if len(cols) < p or len(_hermite_columns(cols, p)) < p:
-        return False
-    return all(cols[i][i] == 1 for i in range(p))
+    return len(cols) >= p and _unit_pivots(cols, p)
 
 
 class _CandidatePool:
@@ -604,18 +666,16 @@ def find_invariant_basis(
     """Split eq (possibly plus k regular blocks) into free orbits and fixed vectors.
 
     Returns (k, basis) with k = 0 whenever the direct search succeeds.
-    Constructive route first when the lattice knows its shape; greedy
-    orbit extraction with fixed completion otherwise; stabilization only
-    when allowed.  Failures raise, never approximate.
+    The constructive basis that settled noncyclotomy when the lattice knows
+    its shape; greedy orbit extraction with fixed completion otherwise;
+    stabilization only when allowed.  Failures raise, never approximate.
     """
     if not eq.is_noncyclotomic():
         raise NotNoncyclotomic(
             "norm kernel exceeds the twist image; no free-plus-trivial basis exists"
         )
-    if eq.provenance is not None:
-        basis = _constructive_basis(eq)
-        if basis is not None:
-            return 0, basis
+    if eq._basis is not None:
+        return 0, eq._basis
     rng = random.Random(seed)
     top = k_max if allow_stabilization else 0
     attempts = 0

@@ -165,9 +165,11 @@ def test_kernel_check_restricts_the_action_once(monkeypatch, capsys):
     eliminations = count_calls(monkeypatch, cyclat.intlinalg, "solve_columns")
     assert run_cli(capsys, "module", "check-noncyc", "cyclicR(2,2)", "--p", "2") == 0
     assert len(transforms) == 0
-    # the module's two relation checks in Z^2, then the presentation
-    # kernel's one invariance check in Z^16, each against a canonical basis
-    assert [args[0].ambient for args in solves] == [2, 2, 16]
+    # the module's two relation checks in Z^2, the presentation kernel's
+    # certificate in Z^2, its one invariance check in Z^16, and the span
+    # check of the split basis that decides noncyclotomy in Z^16, each
+    # against a canonical basis
+    assert [args[0].ambient for args in solves] == [2, 2, 2, 16, 16]
     assert len(eliminations) == 0
 
 
@@ -227,15 +229,19 @@ def test_ring_identities_decomposes_p_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_basis_search_reuses_the_noncyclotomy_verdict(monkeypatch):
-    # the norm kernel is one kernel_basis; asking again, or searching for a
-    # basis afterwards, reads the witness kept on the lattice
+def test_basis_search_returns_the_basis_that_settled_noncyclotomy(monkeypatch):
+    # a shaped kernel's constructive split basis settles the verdict with no
+    # norm kernel; asking again, or searching for a basis afterwards, reads
+    # the verdict and the basis kept on the lattice
     eq = build_aug(build(parse_modspec("cyclicR(2,1)+triv(2)"), 3)).kernel_pair()
-    calls = count_calls(monkeypatch, cyclat.intlinalg, "kernel_basis")
+    kernels = count_calls(monkeypatch, cyclat.intlinalg, "kernel_basis")
+    built = count_calls(monkeypatch, cyclat.presentation, "_constructive_basis")
+    assert eq.is_noncyclotomic()
     assert eq.is_noncyclotomic()
     k, _ = find_invariant_basis(eq)
     assert k == 0
-    assert len(calls) == 1
+    assert len(kernels) == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("command", ["build", "present"])

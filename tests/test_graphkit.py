@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -477,3 +478,63 @@ class TestWindowSize:
     def test_depth_below_one_rejected(self):
         with pytest.raises(PreconditionError):
             build_strand_graph(2).window_size(0)
+
+
+class TestLookups:
+    """Each look-up goes through a dict and keeps the scan's answers and errors."""
+
+    def test_graph_lookups_match_a_scan(self):
+        g = build_group_graph(z5_mult4())
+        for f in g.rays:
+            assert g.ray(f.name) is f
+        for a, b in g.aut_vertices:
+            assert g.sigma_vertex(a) == b
+        for a, b in g.aut_rays:
+            assert g.sigma_ray(a) == b
+        for s, t, m in g.edges:
+            assert g.edge_mult(s, t) == m
+        for v in g.vertices:
+            if v != g.emitter:
+                want = [(t, m) for s, t, m in g.edges if s == v]
+                want += [(f.vertex(1), 1) for f in g.rays if f.orientation == OUTWARD and f.base == v]
+                assert g.core_targets(v) == want
+
+    @pytest.mark.parametrize(
+        "lookup, message",
+        [
+            (lambda g: g.ray("nope"), "no ray named 'nope'"),
+            (lambda g: g.sigma_vertex("nope"), "vertex 'nope' missing from the automorphism"),
+            (lambda g: g.sigma_ray("nope"), "ray 'nope' missing from the automorphism"),
+            (lambda g: g.sigma_window("nope[2]"), "ray 'nope' missing from the automorphism"),
+        ],
+        ids=["ray", "sigma_vertex", "sigma_ray", "sigma_window"],
+    )
+    def test_unknown_graph_names_raise_as_before(self, lookup, message):
+        g = build_strand_graph(4, cyclic=True)
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            lookup(g)
+
+    def test_an_absent_edge_has_multiplicity_zero(self):
+        g = build_strand_graph(4, cyclic=True)
+        assert g.edge_mult("v", "nope") == 0
+        assert g.edge_mult("v", "v") == 0
+
+    def test_spec_lookups_match_a_scan(self):
+        spec = z7_mult2()
+        for a, val in spec.pi0:
+            assert spec.pi0_of(a) == val
+        for orbit in spec.orbits:
+            for i, a in enumerate(orbit):
+                assert spec.sigma_label(a) == orbit[(i + 1) % len(orbit)]
+
+    @pytest.mark.parametrize(
+        "lookup, message",
+        [
+            (lambda s: s.pi0_of("nope"), "no pi0 value for 'nope'"),
+            (lambda s: s.sigma_label("nope"), "unknown generator 'nope'"),
+        ],
+        ids=["pi0_of", "sigma_label"],
+    )
+    def test_unknown_spec_labels_raise_as_before(self, lookup, message):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            lookup(z5_mult4())

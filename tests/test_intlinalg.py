@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -23,7 +24,7 @@ from cyclat.intlinalg import (
     snf,
     solve_columns,
 )
-from cyclat.intlinalg import _hnf_divmod
+from cyclat.intlinalg import _certify_snf, _hnf_divmod, is_unimodular
 from cyclat.ktheory import boundary_matrix
 from cyclat.presentation import build_aug
 from cyclat.zmod import build, parse_modspec, random_unimodular
@@ -1144,3 +1145,95 @@ class TestLatticeSolveOracle:
     def test_wrong_space_rejected(self):
         with pytest.raises(PreconditionError):
             Lattice.full(2).solve(IntMatrix.identity(3))
+
+
+class TestHermiteConstructor:
+    """Lattice._from_hermite takes a canonical basis as it is and refuses any other."""
+
+    @given(small_matrices(max_dim=6))
+    @settings(max_examples=200, deadline=None)
+    def test_accepts_every_canonical_basis(self, a):
+        lat = Lattice(a.rows, a)
+        got = Lattice._from_hermite(a.rows, lat.basis)
+        assert got == lat
+        assert got.pivot_rows == lat.pivot_rows
+
+    @pytest.mark.parametrize(
+        "rows,why",
+        [
+            ([[1, 0], [1, -2]], "negative pivot"),
+            ([[1, 1], [0, 2]], "entry right of a pivot"),
+            ([[1, 0], [3, 2]], "entry left of a pivot not reduced"),
+            ([[1, 0], [-1, 2]], "negative entry left of a pivot"),
+            ([[0, 1], [1, 0]], "pivots out of order"),
+            ([[1, 0], [0, 0]], "zero column"),
+            ([[1, 0, 0], [0, 0, 1], [0, 1, 0]], "a later column starts before the next pivot"),
+        ],
+    )
+    def test_refuses_other_shapes(self, rows, why):
+        with pytest.raises(InternalInvariantError, match="Hermite form"):
+            Lattice._from_hermite(len(rows), mat(rows))
+
+    def test_refuses_the_wrong_ambient(self):
+        with pytest.raises(PreconditionError):
+            Lattice._from_hermite(3, IntMatrix.identity(2))
+
+
+@st.composite
+def square_matrices(draw, max_dim=5):
+    n = draw(st.integers(0, max_dim))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -2])
+    return IntMatrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)), shape=(n, n))
+
+
+class TestIsUnimodular:
+    """The peeling determinant test against Lattice(n, C) == Lattice.full(n)."""
+
+    @given(square_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_full_lattice(self, c):
+        assert is_unimodular(c) == (Lattice(c.rows, c) == Lattice.full(c.rows))
+
+    @given(st.integers(1, 7), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_unimodular_det_two_and_singular(self, n, seed):
+        rng = random.Random(seed)
+        u = random_unimodular(rng, n)
+        assert is_unimodular(u)
+        rows = u.tolist()
+        i = rng.randrange(n)
+        doubled = [[2 * x for x in row] if k == i else row for k, row in enumerate(rows)]
+        assert not is_unimodular(mat(doubled))
+        assert abs(det(mat(doubled))) == 2
+        if n > 1:
+            j = (i + 1) % n
+            repeated = [rows[j] if k == i else row for k, row in enumerate(rows)]
+            assert not is_unimodular(mat(repeated))
+            assert det(mat(repeated)) == 0
+
+    def test_non_square_and_empty(self):
+        assert not is_unimodular(IntMatrix.identity(3).submatrix(range(3), range(2)))
+        assert is_unimodular(IntMatrix.zeros(0, 0))
+
+
+class TestSnfCertificate:
+    """_certify_snf holds for every snf and fails on a tampered result."""
+
+    A = mat([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+
+    def test_accepts_the_smith_form(self):
+        _certify_snf(self.A, snf(self.A))
+
+    def test_one_entry_of_u_inv_changed_raises(self):
+        res = snf(self.A)
+        rows = res.u_inv.tolist()
+        rows[0][0] += 1
+        bad = dataclasses.replace(res, u_inv=mat(rows))
+        with pytest.raises(InternalInvariantError, match="inverse transform"):
+            _certify_snf(self.A, bad)
+
+    def test_two_columns_of_v_swapped_raises(self):
+        res = snf(self.A)
+        bad = dataclasses.replace(res, v=res.v.submatrix(range(3), [1, 0, 2]))
+        with pytest.raises(InternalInvariantError, match="snf transform identity"):
+            _certify_snf(self.A, bad)

@@ -182,6 +182,24 @@ def test_z5_invariant_factors():
     assert kr.k1_rank == 0
 
 
+def test_an_unknown_window_vertex_raises_as_before():
+    kr = compute_k(build_strand_graph(4, cyclic=True), 3)
+    with pytest.raises(PreconditionError, match=r"^'nope' is not a window vertex$"):
+        kr.class_of("nope")
+    with pytest.raises(PreconditionError, match=r"^'s1\[4\]' is not a window vertex$"):
+        kr.class_of("s1[4]")
+
+
+def test_k1_rank_is_read_off_v_and_the_lattice_built_on_first_read():
+    kr = compute_k(build_strand_graph(8, cyclic=True), 4)
+    assert "k1" not in vars(kr)
+    assert kr.k1_rank == 7
+    assert "k1" not in vars(kr)
+    assert kr.k1.rank == kr.k1_rank == kr.k1_basis.cols
+    assert kr.k1 is kr.k1
+    assert (kr.boundary.matrix @ kr.k1_basis).is_zero()
+
+
 def test_group_graph_vertex_classes():
     kr = compute_k(build_group_graph(z2_degenerate()), 2)
     assert set(kr.vertex_classes) == {"a0", "z0", "z0+", "v"}

@@ -92,6 +92,91 @@ class TestBuildAug:
             build_aug(build(TrivCyclic(2), 2))
 
 
+# the module shapes the perfbench cli session presents
+_SESSION_SHAPES = [
+    ("cyclicR(2,1)", 2),
+    ("cyclicR(2,1)+triv(3)", 2),
+    ("cyclicR(2,2)", 2),
+    ("cyclicR(2,1)+triv(2)", 3),
+    ("cyclicR(2,1)+triv(3)", 3),
+    ("cyclicR(3,1)", 3),
+    ("cyclicR(2,1)", 5),
+    ("cyclicR(2,1)+triv(2)", 5),
+]
+
+
+class TestClosedFormKernel:
+    """build_aug's closed-form Hermite basis against Lattice.preimage, and
+    its certificate: each condition broken in turn must raise."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), st.integers(0, 2**32))
+    def test_random_modules_match_the_preimage(self, p, seed):
+        m = random_module(random.Random(seed), p, max_order=64)
+        pres = build_aug(m)
+        want = m.rel.preimage(pres.pi_matrix)
+        assert pres.N == want
+        assert pres.N.pivot_rows == want.pivot_rows
+
+    @pytest.mark.parametrize("spec,p", _SESSION_SHAPES, ids=[f"{s}-p{p}" for s, p in _SESSION_SHAPES])
+    def test_session_shapes_match_the_preimage(self, spec, p):
+        m = build(parse_modspec(spec), p)
+        pres = build_aug(m)
+        assert pres.N == m.rel.preimage(pres.pi_matrix)
+
+    def tampered(self, monkeypatch, change):
+        orig = cyclat.presentation._kernel_hermite
+        monkeypatch.setattr(
+            cyclat.presentation, "_kernel_hermite", lambda M, elements: change(orig(M, elements))
+        )
+        return build(parse_modspec("cyclicR(2,1)+triv(2)"), 3)
+
+    def test_a_basis_out_of_hermite_shape_raises(self, monkeypatch):
+        def unreduce(h):
+            # the last row with a pivot above 1 gets that pivot added left of it
+            rows = h.tolist()
+            i = max(i for i, row in enumerate(rows) if row[i] > 1)
+            rows[i][0] += rows[i][i]
+            return IntMatrix(rows)
+
+        m = self.tampered(monkeypatch, unreduce)
+        with pytest.raises(InternalInvariantError, match="Hermite form"):
+            build_aug(m)
+
+    def test_a_basis_outside_the_kernel_raises(self, monkeypatch):
+        # the identity has the Hermite shape, but pi of it is not in the relations
+        m = self.tampered(monkeypatch, lambda h: IntMatrix.identity(h.rows))
+        with pytest.raises(InternalInvariantError, match="outside the relations"):
+            build_aug(m)
+
+    def test_a_basis_of_the_wrong_index_raises(self, monkeypatch):
+        # 2 H keeps the Hermite shape and lies in the kernel, with index 2^m |M|
+        m = self.tampered(monkeypatch, lambda h: 2 * h)
+        with pytest.raises(InternalInvariantError, match="wrong index"):
+            build_aug(m)
+
+
+class TestNoncyclotomicVerdict:
+    def test_split_basis_verdict_agrees_with_the_norm_kernel_search(self):
+        from test_acceptance import module_pool
+
+        shaped = 0
+        for m in module_pool():
+            eq = build_aug(m).kernel_pair()
+            verdict = eq.is_noncyclotomic()
+            if eq._basis is not None:
+                shaped += 1
+            assert verdict == (eq._search_witness() is None)
+        assert shaped > 10
+
+    def test_a_shapeless_lattice_keeps_the_search(self):
+        m = build(parse_modspec("cyclicR(2,1)"), 2)
+        rebased = FinMod(2, m.r, m.rel, m.aut)  # the same module without a shape
+        eq = build_aug(rebased).kernel_pair()
+        assert eq.is_noncyclotomic()
+        assert eq._basis is None
+
+
 SWAP = IntMatrix([[0, 1], [1, 0]])
 
 
@@ -241,15 +326,14 @@ class TestLeafBasisOracle:
 
 
 class _SpansAnything:
-    """A stand-in ambient lattice of Z^2 and rank 2 that every span equals."""
+    """A stand-in ambient lattice of Z^2 and rank 2 that any two vectors span:
+    it gives every pair the identity as coordinates."""
 
     ambient = 2
     rank = 2
 
-    def __eq__(self, other):
-        return True
-
-    __hash__ = None
+    def solve(self, b):
+        return IntMatrix.identity(2)
 
 
 class TestInvariantBasisVerify:
@@ -289,8 +373,8 @@ class TestInvariantBasisVerify:
 
     def test_period_one_block(self):
         # a block (v, v) repeats a vector, so it never spans a lattice of the
-        # basis's rank and the span check fires first; an ambient that every
-        # span equals lets the period check see the block
+        # basis's rank and the span check fires first; an ambient that any
+        # two vectors span lets the period check see the block
         e0 = _unit(2, 0)
         with pytest.raises(InternalInvariantError, match="orbit block has period 1"):
             InvariantBasis(2, IntMatrix.identity(2), _SpansAnything(), [(e0, e0)], [])
