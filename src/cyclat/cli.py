@@ -64,7 +64,7 @@ from .lattice_props import (
     find_impurity_witness,
     inclusion_diagram,
 )
-from .presentation import UNPRESENTABLE, build_aug, find_invariant_basis
+from .presentation import UNPRESENTABLE, _dense, build_aug, find_invariant_basis
 from .zmod import FinMod, build, check_listable, parse_modspec, spec_order, spec_rank
 
 EXIT_OK = 0
@@ -76,21 +76,26 @@ EXIT_INTERNAL = 2
 
 
 class Report:
-    """Collects one command's output in both text and structured form.
+    """Collects one command's output in the format the invocation asked for.
 
-    Each cmd_* handler returns its Report with the exit code, and main
-    emits it in the format the invocation asked for.
+    Text lines are kept only for text output and keys only for structured
+    output; a handler whose output is large builds only the form that
+    `structured` says is wanted.  Each cmd_* handler returns its Report with
+    the exit code, and main emits it.
     """
 
-    def __init__(self, command: str) -> None:
+    def __init__(self, command: str, fmt: str) -> None:
+        self.structured = fmt == "structured"
         self.lines: list[str] = []
         self.data: dict = {"command": command}
 
     def say(self, line: str) -> None:
-        self.lines.append(line)
+        if not self.structured:
+            self.lines.append(line)
 
     def put(self, key: str, value) -> None:
-        self.data[key] = value
+        if self.structured:
+            self.data[key] = value
 
     def fact(self, label: str, value) -> None:
         """The line 'label: value' (booleans in lower case) and the key label
@@ -98,8 +103,8 @@ class Report:
         self.say(f"{label}: {str(value).lower() if isinstance(value, bool) else value}")
         self.put(label.replace(" ", "_"), value)
 
-    def emit(self, fmt: str) -> None:
-        if fmt == "structured":
+    def emit(self) -> None:
+        if self.structured:
             sys.stdout.write(json.dumps(self.data, sort_keys=True, indent=2) + "\n")
         else:
             for line in self.lines:
@@ -142,7 +147,7 @@ def _matrix_json(m: IntMatrix) -> list:
 
 def cmd_ring_identities(args) -> tuple[Report, int]:
     ids = decompose_prime(args.p)
-    rep = Report("ring-identities")
+    rep = Report("ring-identities", args.fmt)
     rep.say(f"p = {args.p}")
     rep.say(f"core: {ids.core}")
     rep.fact("core at 1", sum(ids.core.coeffs))
@@ -177,7 +182,7 @@ def cmd_module(args) -> tuple[Report, int]:
         raise PreconditionError(UNPRESENTABLE)
     check_listable(order)
     m = build(shape, args.p)
-    rep = Report(f"module-{args.action}")
+    rep = Report(f"module-{args.action}", args.fmt)
     rep.put("p", args.p)
     rep.put("spec", args.spec)
 
@@ -211,13 +216,18 @@ def cmd_module(args) -> tuple[Report, int]:
         rep.fact("stabilization steps", k)
         rep.fact("rank", basis.rank)
         rep.fact("summary", basis.summary())
-        for i, block in enumerate(basis.orbit_blocks):
-            for j, vec in enumerate(block):
-                rep.say(f"orbit[{i}][{j}]: {_vec_text(vec)}")
-        for i, vec in enumerate(basis.fixed_vectors):
-            rep.say(f"fixed[{i}]: {_vec_text(vec)}")
-        rep.put("orbit_blocks", [[list(v) for v in b] for b in basis.orbit_blocks])
-        rep.put("fixed_vectors", [list(v) for v in basis.fixed_vectors])
+        # the vectors are the bulk of the output: each is made dense once, in
+        # the one form asked for
+        n = basis.ambient.ambient
+        if rep.structured:
+            rep.put("orbit_blocks", [[list(_dense(n, c)) for c in b] for b in basis.orbit_columns])
+            rep.put("fixed_vectors", [list(_dense(n, c)) for c in basis.fixed_columns])
+            return rep, EXIT_OK
+        for i, block in enumerate(basis.orbit_columns):
+            for j, col in enumerate(block):
+                rep.say(f"orbit[{i}][{j}]: {_vec_text(_dense(n, col))}")
+        for i, col in enumerate(basis.fixed_columns):
+            rep.say(f"fixed[{i}]: {_vec_text(_dense(n, col))}")
         return rep, EXIT_OK
 
     coords = eq.noncyclotomic_witness()  # check-noncyc
@@ -288,7 +298,7 @@ def _witness(rep: Report, verdict) -> dict:
 
 def cmd_inclusion(args) -> tuple[Report, int]:
     pair = _build_pair(args)
-    rep = Report(f"inclusion-{args.action}")
+    rep = Report(f"inclusion-{args.action}", args.fmt)
     rep.put("p", args.p)
     rep.put("spec", args.spec)
     rep.put("sub", args.sub)
@@ -422,7 +432,7 @@ def _describe_k(kr) -> str:
 
 def cmd_graph(args) -> tuple[Report, int]:
     graph, spec = _load_graph(args, _largest_depth(args))
-    rep = Report(f"graph-{args.action}")
+    rep = Report(f"graph-{args.action}", args.fmt)
 
     if args.action == "build":
         aut = validate_automorphism(graph)
@@ -596,7 +606,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if "spec" in args:
             args.spec = _read_spec_arg(args.spec)  # read an @FILE once per run
         rep, code = _HANDLERS[args.group](args)
-        rep.emit(args.fmt)
+        rep.emit()
         return code
     except ParseError as exc:
         sys.stderr.write(f"cyclat: usage error: {exc}\n")

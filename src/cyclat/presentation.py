@@ -13,16 +13,21 @@ when a direct search needs the extra room.
 N's canonical Hermite basis is written in closed form, one walk over the
 elements from last to first (see _kernel_hermite), and certified by its
 shape, by containment and by its index |M| instead of by an elimination.
-For a direct sum of Z/n and R/(q^k) leaves the split basis is read off in
-one pass over the module's own element orbits: 0-hat, each leaf's vectors,
-and the cross vectors that tie each leaf to the leaves before it.  Once
-verified, that basis is also the noncyclotomy verdict: a lattice with a
-free-plus-fixed basis has the twist image as its norm kernel.  Any other
-lattice compares the two lattices for the verdict, and is split by a
-seeded greedy search: free orbits of candidate vectors, each accepted when
-a p-column Hermite elimination says it keeps the chosen set primitive,
-then fixed vectors completing them; one certified Smith form per completed
-search hands the completion its transform.
+
+A lattice with a verified free-plus-fixed basis is noncyclotomic, so the
+verdict takes three routes in turn.  Shape: for a direct sum of Z/n and
+R/(q^k) leaves the split basis is read off in one pass over the module's
+own element orbits: 0-hat, each leaf's vectors, and the cross vectors that
+tie each leaf to the leaves before it.  Trivial action: when the action is
+the identity on the lattice, its canonical basis is the split basis, all of
+it fixed.  Norm kernel: any other lattice compares the norm kernel with the
+twist image, and is split by a seeded greedy search: free orbits of
+candidate vectors, each accepted when a p-column Hermite elimination says
+it keeps the chosen set primitive, then fixed vectors completing them; one
+certified Smith form per completed search hands the completion its
+transform.  A split basis holds its vectors as sparse columns {index:
+entry}, as every builder here emits them; the dense tuples are made only
+when read.
 """
 
 from __future__ import annotations
@@ -52,11 +57,19 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _vector(n: int, terms) -> tuple[int, ...]:
-    """The length-n vector sum c e_i over the pairs (i, c) in terms; repeated i add up."""
-    v = [0] * n
+def _column(terms) -> dict[int, int]:
+    """The vector sum c e_i over the pairs (i, c) in terms, as {i: nonzero entry}; repeated i add up."""
+    col: dict[int, int] = {}
     for i, c in terms:
-        v[i] += c
+        col[i] = col.get(i, 0) + c
+    return {i: c for i, c in col.items() if c}
+
+
+def _dense(n: int, col: dict[int, int]) -> tuple[int, ...]:
+    """The column {i: entry} as a length-n tuple."""
+    v = [0] * n
+    for i, c in col.items():
+        v[i] = c
     return tuple(v)
 
 
@@ -75,13 +88,14 @@ def _regular_blocks(p: int, k: int, action: IntMatrix, basis: IntMatrix):
     """A lattice with its action, direct-summed with k regular representations of C_p.
 
     Takes the action and a basis of the lattice; returns the grown action,
-    the grown lattice and the k unit-vector orbits spanning the new blocks.
+    the grown lattice and the k unit-vector orbits spanning the new blocks,
+    as columns.
     """
     old = action.rows
     total = old + k * p
     grown = IntMatrix.block_diag(action, *([generator(p).matrix()] * k))
     span = Lattice(total, IntMatrix.block_diag(basis, IntMatrix.identity(k * p)))
-    orbits = [tuple(_unit(total, old + j * p + i) for i in range(p)) for j in range(k)]
+    orbits = [tuple({old + j * p + i: 1} for i in range(p)) for j in range(k)]
     return grown, span, orbits
 
 
@@ -91,7 +105,8 @@ class EquivariantLattice:
     `provenance` optionally records the finite module whose presentation
     kernel this is; when it has a shape, the constructive split basis
     settles noncyclotomy and is kept for the basis search, without
-    presenting the module again.
+    presenting the module again.  An identity action is restricted to the
+    identity without a power or a solve.
     """
 
     __slots__ = ("p", "lattice", "action", "provenance", "_restricted", "_witness", "_basis")
@@ -100,12 +115,16 @@ class EquivariantLattice:
         n = lattice.ambient
         if action.rows != n or action.cols != n:
             raise PreconditionError("action must be square on the ambient space")
-        if action.pow(p) != IntMatrix.identity(n):
-            raise PreconditionError("action order must divide p")
-        # with action^p = 1, mapping the lattice into itself maps it onto itself
-        restricted = lattice.solve(action @ lattice.basis)
-        if restricted is None:
-            raise PreconditionError("lattice is not action-invariant")
+        one = IntMatrix.identity(n)
+        if action == one:
+            restricted = IntMatrix.identity(lattice.rank)
+        else:
+            if action.pow(p) != one:
+                raise PreconditionError("action order must divide p")
+            # with action^p = 1, mapping the lattice into itself maps it onto itself
+            restricted = lattice.solve(action @ lattice.basis)
+            if restricted is None:
+                raise PreconditionError("lattice is not action-invariant")
         self.p = p
         self.lattice = lattice
         self.action = action
@@ -139,13 +158,24 @@ class EquivariantLattice:
         the lattice and its action never change.  A lattice with a verified
         split basis is Z[C_p]^a + Z^b, where the norm kernel is the twist
         image (Diederichsen-Reiner; Curtis-Reiner, Methods I, section 34),
-        so when the provenance's shape gives the constructive basis, that
-        basis is the verdict and is kept for find_invariant_basis; any
-        other lattice compares the two lattices in _search_witness.
+        so three routes are tried in turn:
+
+        * shape: when the provenance's shape gives the constructive basis;
+        * trivial action: when the action restricted to the lattice is the
+          identity, the canonical basis taken as fixed vectors, which is
+          what the greedy search would return for any seed;
+        * norm kernel: any other lattice compares the two lattices in
+          _search_witness.
+
+        A basis from the first two routes is verified, and kept for
+        find_invariant_basis.
         """
         if self._witness is _UNDECIDED:
             if self.provenance is not None:
                 self._basis = _constructive_basis(self)
+            if self._basis is None and self._restricted == IntMatrix.identity(self.rank):
+                fixed = self.lattice.basis.transpose()._ent
+                self._basis = InvariantBasis(self.p, self.action, self.lattice, [], fixed)
             self._witness = None if self._basis is not None else self._search_witness()
         return self._witness
 
@@ -203,7 +233,7 @@ class AugPresentation:
 
     def combination(self, terms) -> tuple[int, ...]:
         """The vector sum c x-hat over the pairs (x, c) in terms; x any vector of M."""
-        return _vector(self.size, [(self.index(x), c) for x, c in terms])
+        return _dense(self.size, _column([(self.index(x), c) for x, c in terms]))
 
     def kernel_pair(self) -> EquivariantLattice:
         return self.kernel
@@ -277,19 +307,42 @@ class InvariantBasis:
     """A basis split into p-cycles of the action and fixed vectors.
 
     The stored order is fixed vectors first, then the orbit blocks in
-    order.  Every constructor in this module verifies the split before
-    handing the object out.
+    order.  Each vector is held as a sparse column {index: nonzero entry} of
+    the ambient space (fixed_columns, orbit_columns); a vector given as a
+    dict is taken over as it is, and one given as a dense sequence is
+    converted on the way in.  verify reads the columns as
+    they are, and orbit_blocks, fixed_vectors and vectors() build the dense
+    tuples only when first read, and keep them.  Every constructor in this
+    module verifies the split before handing the object out.
     """
 
-    __slots__ = ("p", "action", "ambient", "orbit_blocks", "fixed_vectors")
+    __slots__ = (
+        "p", "action", "ambient", "orbit_columns", "fixed_columns", "_orbit_blocks", "_fixed_vectors"
+    )
 
     def __init__(self, p, action, ambient, orbit_blocks, fixed_vectors):
+        n = ambient.ambient
         self.p = p
         self.action = action
         self.ambient = ambient
-        self.orbit_blocks = tuple(tuple(tuple(v) for v in blk) for blk in orbit_blocks)
-        self.fixed_vectors = tuple(tuple(v) for v in fixed_vectors)
+        self.orbit_columns = tuple(tuple(_as_column(n, v) for v in blk) for blk in orbit_blocks)
+        self.fixed_columns = tuple(_as_column(n, v) for v in fixed_vectors)
+        self._orbit_blocks = self._fixed_vectors = None
         self.verify()
+
+    @property
+    def orbit_blocks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        if self._orbit_blocks is None:
+            n = self.ambient.ambient
+            self._orbit_blocks = tuple(tuple(_dense(n, c) for c in blk) for blk in self.orbit_columns)
+        return self._orbit_blocks
+
+    @property
+    def fixed_vectors(self) -> tuple[tuple[int, ...], ...]:
+        if self._fixed_vectors is None:
+            n = self.ambient.ambient
+            self._fixed_vectors = tuple(_dense(n, c) for c in self.fixed_columns)
+        return self._fixed_vectors
 
     def vectors(self) -> list[tuple[int, ...]]:
         out = list(self.fixed_vectors)
@@ -297,54 +350,67 @@ class InvariantBasis:
             out.extend(blk)
         return out
 
+    def columns(self) -> tuple[dict[int, int], ...]:
+        """The sparse columns in the stored order; read them, never change them."""
+        return self.fixed_columns + tuple(c for blk in self.orbit_columns for c in blk)
+
     @property
     def rank(self) -> int:
-        return len(self.fixed_vectors) + self.p * len(self.orbit_blocks)
+        return len(self.fixed_columns) + self.p * len(self.orbit_columns)
 
     def matrix(self) -> IntMatrix:
-        return IntMatrix.from_cols(self.vectors(), rows=self.ambient.ambient)
+        cols = self.columns()
+        return IntMatrix._wrap(cols, len(cols), self.ambient.ambient).transpose()
 
     def verify(self) -> None:
-        vecs = self.vectors()
         n = self.ambient.ambient
-        if any(len(v) != n for v in vecs):
-            raise InternalInvariantError("basis vector outside the ambient space")
-        if len(vecs) != self.ambient.rank:
+        cols = self.columns()
+        if not all(x and 0 <= i < n for c in cols for i, x in c.items()):
+            raise InternalInvariantError("basis column with an index outside the ambient space or a zero")
+        if len(cols) != self.ambient.rank:
             raise InternalInvariantError("basis size differs from the lattice rank")
-        mat = IntMatrix.from_cols(vecs, rows=n)
+        mat = IntMatrix._wrap(cols, len(cols), n).transpose()
         # rank-many vectors of the lattice span it when their coordinates
         # in its basis form a matrix of determinant +-1
         coords = self.ambient.solve(mat)
         if coords is None or not is_unimodular(coords):
             raise InternalInvariantError("vectors do not span the lattice")
         # one product moves every vector: each block vector must land on the
-        # next one of its block, and each fixed vector must stay put; the
-        # columns are compared as {row: nonzero entry}
-        cols = mat.transpose()._ent
+        # next one of its block, and each fixed vector must stay put
         moved = (self.action @ mat).transpose()._ent
-        start = len(self.fixed_vectors)
-        for blk in self.orbit_blocks:
-            if len(blk) != self.p:
+        p = self.p
+        start = len(self.fixed_columns)
+        for blk in self.orbit_columns:
+            if len(blk) != p:
                 raise InternalInvariantError("orbit block of the wrong length")
-            if blk[0] == blk[(1 % self.p)] and self.p > 1:
+            if blk[0] == blk[(1 % p)] and p > 1:
                 raise InternalInvariantError("orbit block has period 1")
-            if any(moved[start + i] != cols[start + (i + 1) % self.p] for i in range(self.p)):
+            if any(moved[start + i] != cols[start + (i + 1) % p] for i in range(p)):
                 raise InternalInvariantError("orbit block is not a p-cycle")
-            start += self.p
-        if moved[: len(self.fixed_vectors)] != cols[: len(self.fixed_vectors)]:
+            start += p
+        if moved[: len(self.fixed_columns)] != self.fixed_columns:
             raise InternalInvariantError("fixed vector moves under the action")
 
     def summary(self) -> str:
-        return f"{len(self.orbit_blocks)} free orbit(s) + {len(self.fixed_vectors)} fixed"
+        return f"{len(self.orbit_columns)} free orbit(s) + {len(self.fixed_columns)} fixed"
+
+
+def _as_column(n: int, v) -> dict[int, int]:
+    """A basis vector as a sparse column: a dict is taken as one, a sequence must have length n."""
+    if isinstance(v, dict):
+        return v
+    if len(v) != n:
+        raise InternalInvariantError("basis vector outside the ambient space")
+    return {i: int(x) for i, x in enumerate(v) if x}
 
 
 def _check_assembly_convention(basis: InvariantBasis, pres: AugPresentation) -> None:
     # assembly needs the zero-hat vector isolated: first fixed vector is
     # exactly 0-hat, every other basis vector has zero 0-hat coefficient
     zi = pres.zero_index
-    if not basis.fixed_vectors or basis.fixed_vectors[0] != _unit(pres.size, zi):
+    if not basis.fixed_columns or basis.fixed_columns[0] != {zi: 1}:
         raise PreconditionError("first fixed vector must be the zero-hat vector")
-    if any(v[zi] != 0 for v in basis.vectors()[1:]):
+    if any(zi in c for c in basis.columns()[1:]):
         raise PreconditionError("basis vectors other than zero-hat must avoid it")
 
 
@@ -374,15 +440,14 @@ def _leaf_vectors(M: FinMod, orbits, s: int, e: int):
     generators, split along the element orbits; then d g_i-hat, one fixed
     vector for Z/n and one free orbit for R/(q^k).  Z/1 has only the
     element 0, which is its generator, so it adds nothing.  The vectors
-    are in M's element coordinates; orbits is M.orbits().
+    are columns in M's element coordinates; orbits is M.orbits().
     """
-    m = len(M.enumerate())
     gens = [M.reduce(_unit(M.r, i)) for i in range(s, e)]
     gen_idx = [M.index_of(g) for g in gens]
     d = M.rel.basis[s, s]
 
-    def xi(x: tuple[int, ...]) -> tuple[int, ...]:
-        return _vector(m, [(M.index_of(x), 1)] + [(g, -c) for g, c in zip(gen_idx, x[s:e])])
+    def xi(x: tuple[int, ...]) -> dict[int, int]:
+        return _column([(M.index_of(x), 1)] + [(g, -c) for g, c in zip(gen_idx, x[s:e])])
 
     own = (
         o for o in orbits
@@ -390,7 +455,7 @@ def _leaf_vectors(M: FinMod, orbits, s: int, e: int):
     )
     fixed, blocks = _split_orbits(own, xi)
     if any(gens[0]):  # the generator of Z/1 is 0
-        gen_fixed, gen_blocks = _split_orbits([gen_idx], lambda i: _vector(m, [(i, d)]))
+        gen_fixed, gen_blocks = _split_orbits([gen_idx], lambda i: {i: d})
         fixed += gen_fixed
         blocks += gen_blocks
     return fixed, blocks
@@ -401,15 +466,14 @@ def _cross_vectors(M: FinMod, orbits, s: int, e: int):
 
     One xi_x = x-hat - (x[:s], 0)-hat - (0, x[s:e], 0)-hat for each element
     x supported on [0, e) with both parts nonzero; none when s = 0.  The
-    vectors are in M's element coordinates; orbits is M.orbits().
+    vectors are columns in M's element coordinates; orbits is M.orbits().
     """
-    m = len(M.enumerate())
     zero = (0,) * M.r
 
-    def xi(x: tuple[int, ...]) -> tuple[int, ...]:
+    def xi(x: tuple[int, ...]) -> dict[int, int]:
         left = x[:s] + zero[s:]
         right = zero[:s] + x[s:e] + zero[e:]
-        return _vector(m, [(M.index_of(x), 1), (M.index_of(left), -1), (M.index_of(right), -1)])
+        return _column([(M.index_of(x), 1), (M.index_of(left), -1), (M.index_of(right), -1)])
 
     crossing = (o for o in orbits if any(o[0][:s]) and any(o[0][s:e]) and not any(o[0][e:]))
     return _split_orbits(crossing, xi)
@@ -435,8 +499,8 @@ def free_r_xi_window(p: int, xs: Sequence[Sequence[int]]):
         seen.add(x)
     window = gens + xs
     pos = {x: i for i, x in enumerate(window)}
-    cols = [_vector(len(window), [(pos[x], 1)] + [(i, -c) for i, c in enumerate(x)]) for x in xs]
-    mat = IntMatrix.from_cols(cols, rows=len(window))
+    cols = [_column([(pos[x], 1)] + [(i, -int(c)) for i, c in enumerate(x)]) for x in xs]
+    mat = IntMatrix._wrap(cols, len(cols), len(window)).transpose()
     if column_rank(mat) != len(cols):
         raise InternalInvariantError("window vectors must be independent")
     return window, mat
@@ -461,16 +525,19 @@ def assemble_direct_sum(
     _check_assembly_convention(b2, p2)
 
     psum = build_aug(direct_sum(p1.M, p2.M))
-    msum, m = psum.M, psum.size
+    msum = psum.M
     r1 = p1.M.r
-    e1 = IntMatrix.unit_columns(m, [psum.index(tuple(x) + (0,) * p2.M.r) for x in p1.elements])
-    e2 = IntMatrix.unit_columns(m, [psum.index((0,) * r1 + tuple(x)) for x in p2.elements])
+    e1 = [psum.index(tuple(x) + (0,) * p2.M.r) for x in p1.elements]
+    e2 = [psum.index((0,) * r1 + tuple(x)) for x in p2.elements]
 
-    fixed = [_unit(m, psum.zero_index)]
-    fixed += [e1.apply(v) for v in b1.fixed_vectors[1:]]
-    fixed += [e2.apply(v) for v in b2.fixed_vectors[1:]]
-    blocks = [tuple(e1.apply(v) for v in blk) for blk in b1.orbit_blocks]
-    blocks += [tuple(e2.apply(v) for v in blk) for blk in b2.orbit_blocks]
+    def embed(e, col):
+        return {e[i]: x for i, x in col.items()}
+
+    fixed = [{psum.zero_index: 1}]
+    fixed += [embed(e1, c) for c in b1.fixed_columns[1:]]
+    fixed += [embed(e2, c) for c in b2.fixed_columns[1:]]
+    blocks = [tuple(embed(e1, c) for c in blk) for blk in b1.orbit_columns]
+    blocks += [tuple(embed(e2, c) for c in blk) for blk in b2.orbit_columns]
     cross_fixed, cross_blocks = _cross_vectors(msum, msum.orbits(), r1, msum.r)
     return InvariantBasis(msum.p, psum.action, psum.N, blocks + cross_blocks, fixed + cross_fixed)
 
@@ -484,33 +551,34 @@ def _constructive_basis(eq: EquivariantLattice) -> Optional[InvariantBasis]:
     pass over M's element orbits gives the vectors of the left fold of
     assemble_direct_sum over the leaf bases, in the same order, with no
     leaf or partial sum presented: 0-hat, then for each leaf on coordinates
-    [s, e) its own vectors and the cross vectors tying it to [0, s).
+    [s, e) its own vectors and the cross vectors tying it to [0, s).  The
+    vectors are built as sparse columns.
     """
-    M = eq.provenance
+    M, p = eq.provenance, eq.provenance.p
     leaves = M.shape.parts if isinstance(M.shape, DirectSum) else (M.shape,)
     if not all(isinstance(leaf, (TrivCyclic, CyclicR)) for leaf in leaves):
         return None
-    one, shift = IntMatrix.identity(1), generator(M.p).matrix()
-    orders, auts = [], []
+    # the rows M's relations and action must have, compared row by row
+    rel_rows, aut_rows, bounds = [], [], []
     for leaf in leaves:
+        s = len(rel_rows)
         if isinstance(leaf, TrivCyclic):
-            orders.append(leaf.n)
-            auts.append(one)
+            rel_rows.append({s: leaf.n})
+            aut_rows.append({s: 1})
         else:
-            orders += [leaf.q**leaf.k] * M.p
-            auts.append(shift)
-    if M.rel.basis != IntMatrix.diag(orders) or M.aut != IntMatrix.block_diag(*auts):
+            rel_rows += [{s + i: leaf.q**leaf.k} for i in range(p)]
+            aut_rows += [{s + (i - 1) % p: 1} for i in range(p)]  # the shift e_i -> e_(i+1)
+        bounds.append((s, len(rel_rows)))
+    rel = M.rel.basis
+    if rel.cols != len(rel_rows) or rel._ent != tuple(rel_rows) or M.aut._ent != tuple(aut_rows):
         return None
     orbits = M.orbits()
-    fixed, blocks = [_unit(eq.lattice.ambient, M.index_of((0,) * M.r))], []
-    s = 0
-    for leaf in leaves:
-        e = s + (1 if isinstance(leaf, TrivCyclic) else M.p)
+    fixed, blocks = [{M.index_of((0,) * M.r): 1}], []
+    for s, e in bounds:
         for vectors in (_leaf_vectors, _cross_vectors):
             more_fixed, more_blocks = vectors(M, orbits, s, e)
             fixed += more_fixed
             blocks += more_blocks
-        s = e
     return InvariantBasis(eq.p, eq.action, eq.lattice, blocks, fixed)
 
 
@@ -650,7 +718,7 @@ def _greedy_basis(
         fixed = None if found is None else _complete_with_fixed(found[1], n, fix)
         if fixed is not None:
             orbits = IntMatrix.from_cols([v for blk in found[0] for v in blk], rows=r)
-            amb = (eq.lattice.basis @ IntMatrix.hstack(orbits, fixed)).columns()
+            amb = (eq.lattice.basis @ IntMatrix.hstack(orbits, fixed)).transpose()._ent
             blocks = [amb[i : i + eq.p] for i in range(0, n, eq.p)]
             return InvariantBasis(eq.p, eq.action, eq.lattice, blocks, amb[n:]), attempt
         pool.drain()
@@ -666,9 +734,11 @@ def find_invariant_basis(
     """Split eq (possibly plus k regular blocks) into free orbits and fixed vectors.
 
     Returns (k, basis) with k = 0 whenever the direct search succeeds.
-    The constructive basis that settled noncyclotomy when the lattice knows
-    its shape; greedy orbit extraction with fixed completion otherwise;
-    stabilization only when allowed.  Failures raise, never approximate.
+    The basis that settled noncyclotomy when one did (the constructive
+    basis of a shaped lattice, or the canonical basis of one the action
+    fixes pointwise); greedy orbit extraction with fixed completion
+    otherwise; stabilization only when allowed.  Failures raise, never
+    approximate.
     """
     if not eq.is_noncyclotomic():
         raise NotNoncyclotomic(
@@ -710,11 +780,9 @@ class StabilizedPresentation:
 
 def _pad_with_regular_blocks(basis: InvariantBasis, p: int, delta: int) -> InvariantBasis:
     """Extend a split basis of L to one of L plus delta regular blocks."""
+    # L's columns keep their indices below the new blocks'
     action, ambient, regular = _regular_blocks(p, delta, basis.action, basis.ambient.basis)
-    pad = (0,) * (delta * p)
-    blocks = [tuple(v + pad for v in blk) for blk in basis.orbit_blocks] + regular
-    fixed = [v + pad for v in basis.fixed_vectors]
-    return InvariantBasis(p, action, ambient, blocks, fixed)
+    return InvariantBasis(p, action, ambient, basis.orbit_columns + tuple(regular), basis.fixed_columns)
 
 
 def stabilize_presentation(
@@ -741,7 +809,7 @@ def _stabilize(aug: AugPresentation, k_max: int, seed: int, k_min: int) -> Stabi
     total = aug.size + k * p
 
     action, ambient, regular = _regular_blocks(p, k, aug.action, IntMatrix.identity(aug.size))
-    fixed, blocks = _split_orbits(M.orbits(), lambda x: _unit(total, M.index_of(x)))
+    fixed, blocks = _split_orbits(M.orbits(), lambda x: {M.index_of(x): 1})
     n2 = InvariantBasis(p, action, ambient, blocks + regular, fixed)
 
     pi_ext = IntMatrix.hstack(aug.pi_matrix, IntMatrix.zeros(M.r, k * p))
@@ -752,6 +820,7 @@ def _stabilize(aug: AugPresentation, k_max: int, seed: int, k_min: int) -> Stabi
     if not exact or kernel.index() != M.order():
         raise InternalInvariantError("stabilized row is not exact")
 
-    vec_pos = {v: i for i, v in enumerate(n2.vectors())}
-    cover = tuple(vec_pos[_unit(total, M.index_of(x))] for x in aug.elements)
+    # every basis vector of N2 is a unit column {j: 1}
+    pos = {next(iter(c)): i for i, c in enumerate(n2.columns())}
+    cover = tuple(pos[M.index_of(x)] for x in aug.elements)
     return StabilizedPresentation(M, k, n1, n2, pi_ext, cover)

@@ -229,19 +229,43 @@ def test_ring_identities_decomposes_p_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_basis_search_returns_the_basis_that_settled_noncyclotomy(monkeypatch):
-    # a shaped kernel's constructive split basis settles the verdict with no
-    # norm kernel; asking again, or searching for a basis afterwards, reads
-    # the verdict and the basis kept on the lattice
-    eq = build_aug(build(parse_modspec("cyclicR(2,1)+triv(2)"), 3)).kernel_pair()
+def _without_shape(m):
+    return FinMod(m.p, m.r, m.rel, m.aut)
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        build(parse_modspec("cyclicR(2,1)+triv(2)"), 3),
+        _without_shape(build(parse_modspec("triv(2)+triv(3)"), 3)),
+    ],
+    ids=["shaped", "trivial-action"],
+)
+def test_basis_search_returns_the_basis_that_settled_noncyclotomy(monkeypatch, module):
+    # a shaped kernel's constructive split basis, or the canonical basis of a
+    # lattice the action fixes pointwise, settles the verdict with no norm
+    # kernel; asking again, or searching for a basis afterwards, reads the
+    # verdict and the basis kept on the lattice
+    eq = build_aug(module).kernel_pair()
     kernels = count_calls(monkeypatch, cyclat.intlinalg, "kernel_basis")
+    completions = count_calls(monkeypatch, cyclat.intlinalg, "solve_columns")
     built = count_calls(monkeypatch, cyclat.presentation, "_constructive_basis")
     assert eq.is_noncyclotomic()
     assert eq.is_noncyclotomic()
-    k, _ = find_invariant_basis(eq)
-    assert k == 0
+    k, basis = find_invariant_basis(eq)
+    assert k == 0 and basis is eq._basis
     assert len(kernels) == 0
+    assert len(completions) == 0
     assert len(built) == 1
+
+
+def test_identity_action_is_restricted_without_a_power_or_a_solve(monkeypatch):
+    lattice = build_aug(build(parse_modspec("triv(4)"), 5)).N
+    powers = count_calls(monkeypatch, IntMatrix, "pow")
+    solves = count_calls(monkeypatch, Lattice, "solve")
+    eq = EquivariantLattice(5, lattice, IntMatrix.identity(4))
+    assert eq.restricted() == IntMatrix.identity(4)
+    assert len(powers) == 0 and len(solves) == 0
 
 
 @pytest.mark.parametrize("command", ["build", "present"])

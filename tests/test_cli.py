@@ -277,6 +277,19 @@ def test_module_invariant_basis_three_leaves_golden(capsys):
     assert out == golden("invariant_basis_triv2_cyclicR21_triv3_p2.txt")
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_module_invariant_basis_builds_only_the_format_asked_for(fmt):
+    argv = ["module", "invariant-basis", "triv(2)+cyclicR(2,1)", "--p", "2", "--format", fmt]
+    rep, rc = cyclat.cli.cmd_module(cyclat.cli._build_parser().parse_args(argv))
+    assert rc == 0
+    if fmt == "text":
+        assert rep.data == {"command": "module-invariant-basis"}
+        assert "orbit[1][1]: (0, 0, -1, 0, -1, 0, 1, 0)" in rep.lines
+    else:
+        assert rep.lines == []
+        assert rep.data["orbit_blocks"][1][1] == [0, 0, -1, 0, -1, 0, 1, 0]
+
+
 def test_module_check_noncyclotomic_true(capsys):
     rc, out, _ = run_cli(capsys, "module", "check-noncyc", "triv(4)", "--p", "2")
     assert rc == 0

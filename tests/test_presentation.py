@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import math
 import pathlib
 import random
 
@@ -160,14 +162,14 @@ class TestNoncyclotomicVerdict:
     def test_split_basis_verdict_agrees_with_the_norm_kernel_search(self):
         from test_acceptance import module_pool
 
-        shaped = 0
+        split = 0
         for m in module_pool():
             eq = build_aug(m).kernel_pair()
             verdict = eq.is_noncyclotomic()
             if eq._basis is not None:
-                shaped += 1
+                split += 1
             assert verdict == (eq._search_witness() is None)
-        assert shaped > 10
+        assert split > 10
 
     def test_a_shapeless_lattice_keeps_the_search(self):
         m = build(parse_modspec("cyclicR(2,1)"), 2)
@@ -175,6 +177,66 @@ class TestNoncyclotomicVerdict:
         eq = build_aug(rebased).kernel_pair()
         assert eq.is_noncyclotomic()
         assert eq._basis is None
+
+
+@st.composite
+def _rebased_trivial_modules(draw):
+    """A direct sum of one to three triv(n) in a random unimodular basis, so
+    it has no shape, at p in {2, 3, 5, 7}; its action is the identity."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    ns = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(lambda ns: math.prod(ns) <= 48))
+    leaves = tuple(TrivCyclic(n) for n in ns)
+    m = build(leaves[0] if len(leaves) == 1 else DirectSum(leaves), p)
+    w = random_unimodular(random.Random(draw(st.integers(0, 2**32))), m.r)
+    return FinMod(p, m.r, m.rel.transform(w), w @ m.aut @ inv_unimodular(w))
+
+
+class _DoubledColumn:
+    """A lattice whose `basis` has column j doubled; everything else, solve
+    included, is the true lattice's."""
+
+    def __init__(self, lattice, j):
+        cols = [dict(c) for c in lattice.basis.transpose()._ent]
+        cols[j] = {i: 2 * x for i, x in cols[j].items()}
+        self._lattice = lattice
+        self.basis = IntMatrix._wrap(cols, len(cols), lattice.ambient).transpose()
+
+    def __getattr__(self, name):
+        return getattr(self._lattice, name)
+
+
+class TestTrivialActionRoute:
+    """A lattice the action fixes pointwise takes its canonical basis as
+    fixed vectors, checked against the norm-kernel comparison and the greedy
+    search it replaces."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_rebased_trivial_modules())
+    def test_verdict_is_the_norm_kernel_comparison(self, m):
+        eq = build_aug(m).kernel_pair()
+        assert m.shape is None and eq.restricted() == IntMatrix.identity(eq.rank)
+        assert eq.is_noncyclotomic() == (eq._search_witness() is None)
+        assert eq._basis is not None and eq._basis.orbit_columns == ()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_rebased_trivial_modules())
+    def test_basis_is_the_greedy_output_for_every_seed(self, m):
+        eq = build_aug(m).kernel_pair()
+        k, got = find_invariant_basis(eq)
+        assert k == 0
+        for seed in range(4):
+            want, attempts = _greedy_basis(eq, random.Random(seed))
+            assert attempts == 1
+            assert got.orbit_blocks == want.orbit_blocks == ()
+            assert got.fixed_vectors == want.fixed_vectors
+
+    @settings(max_examples=20, deadline=None)
+    @given(_rebased_trivial_modules(), st.integers(0, 2**16))
+    def test_a_tampered_canonical_basis_raises(self, m, pick):
+        eq = build_aug(m).kernel_pair()
+        eq.lattice = _DoubledColumn(eq.lattice, pick % eq.rank)
+        with pytest.raises(InternalInvariantError, match="vectors do not span the lattice"):
+            eq.is_noncyclotomic()
 
 
 SWAP = IntMatrix([[0, 1], [1, 0]])
@@ -378,6 +440,61 @@ class TestInvariantBasisVerify:
         e0 = _unit(2, 0)
         with pytest.raises(InternalInvariantError, match="orbit block has period 1"):
             InvariantBasis(2, IntMatrix.identity(2), _SpansAnything(), [(e0, e0)], [])
+
+    @pytest.mark.parametrize(
+        "vector, message",
+        [
+            ({4: 1}, "index outside the ambient space"),
+            ({-1: 1}, "index outside the ambient space"),
+            ({3: 0}, "or a zero"),
+            ((0, 0, 0, 1, 0), "basis vector outside the ambient space"),
+        ],
+        ids=["index-4", "index-minus-1", "stored-zero", "dense-of-length-5"],
+    )
+    def test_vector_outside_the_ambient_space(self, vector, message):
+        with pytest.raises(InternalInvariantError, match=message):
+            self.make([(self.E0, self.E1, self.E2)], [vector])
+
+
+def _bases_of_the_pool_and_the_session():
+    from test_acceptance import module_pool
+
+    mods = module_pool() + [build(parse_modspec(spec), p) for spec, p in _SESSION_SHAPES]
+    for m in mods:
+        yield find_invariant_basis(build_aug(m).kernel_pair(), allow_stabilization=True)[1]
+
+
+class TestSparseColumns:
+    """Split bases are held as sparse columns; the dense accessors are built
+    from them on first read."""
+
+    def test_dense_accessors_equal_the_tuples_of_the_basis_matrix(self):
+        for b in _bases_of_the_pool_and_the_session():
+            assert b._orbit_blocks is None and b._fixed_vectors is None  # none built yet
+            # the tuples as IntMatrix.columns() builds them
+            dense = b.matrix().columns()
+            f = len(b.fixed_columns)
+            assert b.vectors() == dense
+            assert b.fixed_vectors == tuple(dense[:f])
+            blocks = tuple(tuple(dense[i : i + b.p]) for i in range(f, len(dense), b.p))
+            assert b.orbit_blocks == blocks
+            assert b.orbit_blocks is b.orbit_blocks and b.fixed_vectors is b.fixed_vectors
+            # and the dense tuples go back to the same columns
+            again = InvariantBasis(b.p, b.action, b.ambient, b.orbit_blocks, b.fixed_vectors)
+            assert again.columns() == b.columns()
+
+
+def test_the_58th_draw_keeps_its_pinned_basis():
+    # the module the CI step splits: shapeless, 64 elements, k = 3 from the seeded search
+    rng = random.Random(11)
+    for _ in range(58):
+        p = rng.choice([2, 3, 5])
+        m = random_module(rng, p, max_order=64)
+        rng.choice([1, 2])
+    k, b = find_invariant_basis(build_aug(m).kernel_pair(), allow_stabilization=True)
+    digest = hashlib.sha256(repr((b.orbit_blocks, b.fixed_vectors)).encode()).hexdigest()
+    assert (p, m.order(), k) == (3, 64, 3)
+    assert digest == "32a40b09d44c9f54977cc0b5d572833916e8325a911f79c6f09cf04f2689de1d"
 
 
 class TestFreeWindow:
