@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from typing import Optional, Sequence
@@ -105,7 +106,12 @@ class Report:
 
     def emit(self) -> None:
         if self.structured:
-            sys.stdout.write(json.dumps(self.data, sort_keys=True, indent=2) + "\n")
+            # the encoder's pieces go out in batches of 65,536: the whole
+            # document as one string would cost far more than the data
+            pieces = json.JSONEncoder(sort_keys=True, indent=2).iterencode(self.data)
+            while batch := list(itertools.islice(pieces, 1 << 16)):
+                sys.stdout.write("".join(batch))
+            sys.stdout.write("\n")
         else:
             for line in self.lines:
                 sys.stdout.write(line + "\n")

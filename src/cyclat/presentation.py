@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cyclo_ring import generator, norm
+from .cyclo_ring import norm
 from .errors import (
     InternalInvariantError,
     NotNoncyclotomic,
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .intlinalg import IntMatrix, Lattice, column_rank, kernel_basis, snf, solve_columns
 from .intlinalg import _hermite_columns, _unit_pivots, is_unimodular
-from .zmod import CyclicR, DirectSum, FinMod, TrivCyclic, build, direct_sum
+from .zmod import CyclicR, FinMod, FreeR, TrivCyclic, _layout, build, direct_sum
 
 GREEDY_ATTEMPTS = 6
 DEFAULT_K_MAX = 4
@@ -93,7 +93,7 @@ def _regular_blocks(p: int, k: int, action: IntMatrix, basis: IntMatrix):
     """
     old = action.rows
     total = old + k * p
-    grown = IntMatrix.block_diag(action, *([generator(p).matrix()] * k))
+    grown = IntMatrix.block_diag(action, _layout(FreeR(k), p)[2]) if k else action  # freeR(k)'s shifts
     span = Lattice(total, IntMatrix.block_diag(basis, IntMatrix.identity(k * p)))
     orbits = [tuple({old + j * p + i: 1} for i in range(p)) for j in range(k)]
     return grown, span, orbits
@@ -415,23 +415,16 @@ def _check_assembly_convention(basis: InvariantBasis, pres: AugPresentation) -> 
 
 
 def cyclic_trivial_basis(n: int, p: int) -> InvariantBasis:
-    """Kernel basis for Z/n with trivial action."""
-    return _leaf_basis(build_aug(build(TrivCyclic(n), p)))
+    """Kernel basis for Z/n with trivial action: the constructive basis of a one-leaf sum."""
+    return _constructive_basis(build_aug(build(TrivCyclic(n), p)).kernel)
 
 
 def cyclic_r_basis(q: int, k: int, p: int) -> InvariantBasis:
-    """Kernel basis for the rank-one quotient R/(q^k)."""
-    return _leaf_basis(build_aug(build(CyclicR(q, k), p)))
+    """Kernel basis for the rank-one quotient R/(q^k): the constructive basis of a one-leaf sum."""
+    return _constructive_basis(build_aug(build(CyclicR(q, k), p)).kernel)
 
 
-def _leaf_basis(pres: AugPresentation) -> InvariantBasis:
-    """Kernel basis of the presentation of a leaf, Z/n or R/(q^k): 0-hat, then _leaf_vectors."""
-    M = pres.M
-    fixed, blocks = _leaf_vectors(M, M.orbits(), 0, M.r)
-    return InvariantBasis(M.p, pres.action, pres.N, blocks, [pres.hat((0,) * M.r)] + fixed)
-
-
-def _leaf_vectors(M: FinMod, orbits, s: int, e: int):
+def _leaf_vectors(M: FinMod, orbits, s: int, e: int, d: int):
     """Fixed vectors and orbit blocks of the leaf on coordinates [s, e) of M, 0-hat left out.
 
     The leaf is Z^(e-s) / d Z^(e-s) with generators g_i = e_i reduced: one
@@ -444,7 +437,6 @@ def _leaf_vectors(M: FinMod, orbits, s: int, e: int):
     """
     gens = [M.reduce(_unit(M.r, i)) for i in range(s, e)]
     gen_idx = [M.index_of(g) for g in gens]
-    d = M.rel.basis[s, s]
 
     def xi(x: tuple[int, ...]) -> dict[int, int]:
         return _column([(M.index_of(x), 1)] + [(g, -c) for g, c in zip(gen_idx, x[s:e])])
@@ -546,47 +538,30 @@ def _constructive_basis(eq: EquivariantLattice) -> Optional[InvariantBasis]:
     """The split basis of a direct sum of Z/n and R/(q^k) leaves, or None.
 
     Applies when eq presents its provenance M and M is the module
-    build(M.shape, p) of such a sum: relations the diagonal of the leaf
-    orders, the identity on each Z/n and the shift on each R/(q^k).  One
-    pass over M's element orbits gives the vectors of the left fold of
-    assemble_direct_sum over the leaf bases, in the same order, with no
-    leaf or partial sum presented: 0-hat, then for each leaf on coordinates
-    [s, e) its own vectors and the cross vectors tying it to [0, s).  The
-    vectors are built as sparse columns.
+    build(M.shape, p) of such a sum: M's relations and action equal the
+    layout build gives the leaf table of M.shape, and any other tag gives
+    None.  One pass over M's element orbits gives the vectors of the left
+    fold of assemble_direct_sum over the leaf bases, in the same order, with
+    no leaf or partial sum presented: 0-hat, then for each leaf on the
+    coordinates [s, e) the table gives it, its own vectors and the cross
+    vectors tying it to [0, s).  The vectors are built as sparse columns.
     """
-    M, p = eq.provenance, eq.provenance.p
-    leaves = M.shape.parts if isinstance(M.shape, DirectSum) else (M.shape,)
-    if not all(isinstance(leaf, (TrivCyclic, CyclicR)) for leaf in leaves):
+    M = eq.provenance
+    try:
+        table, rel, aut = _layout(M.shape, M.p)
+    except PreconditionError:
         return None
-    # the rows M's relations and action must have, compared row by row
-    rel_rows, aut_rows, bounds = [], [], []
-    for leaf in leaves:
-        s = len(rel_rows)
-        if isinstance(leaf, TrivCyclic):
-            rel_rows.append({s: leaf.n})
-            aut_rows.append({s: 1})
-        else:
-            rel_rows += [{s + i: leaf.q**leaf.k} for i in range(p)]
-            aut_rows += [{s + (i - 1) % p: 1} for i in range(p)]  # the shift e_i -> e_(i+1)
-        bounds.append((s, len(rel_rows)))
-    rel = M.rel.basis
-    if rel.cols != len(rel_rows) or rel._ent != tuple(rel_rows) or M.aut._ent != tuple(aut_rows):
+    if any(order == 0 for _, _, order, _ in table) or M.rel.basis != rel or M.aut != aut:
         return None
     orbits = M.orbits()
-    fixed, blocks = [{M.index_of((0,) * M.r): 1}], []
-    for s, e in bounds:
-        for vectors in (_leaf_vectors, _cross_vectors):
-            more_fixed, more_blocks = vectors(M, orbits, s, e)
-            fixed += more_fixed
-            blocks += more_blocks
+    fixed, blocks, s = [{M.index_of((0,) * M.r): 1}], [], 0
+    for _, width, order, _ in table:
+        more_fixed, more_blocks = _leaf_vectors(M, orbits, s, s + width, order)
+        cross_fixed, cross_blocks = _cross_vectors(M, orbits, s, s + width)
+        fixed += more_fixed + cross_fixed
+        blocks += more_blocks + cross_blocks
+        s += width
     return InvariantBasis(eq.p, eq.action, eq.lattice, blocks, fixed)
-
-
-def _orbit_of(c: IntMatrix, v: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
-    orb = [v]
-    for _ in range(p - 1):
-        orb.append(c.apply(orb[-1]))
-    return orb
 
 
 def _spans_unit_lattice(rows: Sequence[dict[int, int]], p: int) -> bool:
@@ -668,7 +643,7 @@ def _extract_orbits(c: IntMatrix, p: int, target: int, pool: _CandidatePool):
             comp_rows = [{t - p: x for t, x in col.items()} for col in stacked[p:]]
             comp = IntMatrix._wrap(comp_rows, len(comp_rows), r)
             lift = IntMatrix.vstack(comp, *(comp @ a for a in powers[1:]))
-            orb = _orbit_of(c, v, p)
+            orb = [a.apply(v) for a in powers]  # the orbit v, c v, ..., c^(p-1) v
             chosen += orb
             blocks.append(tuple(orb))
             progress = True

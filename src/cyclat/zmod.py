@@ -9,6 +9,11 @@ isomorphism class.
 Canonical element representatives live in the HNF fundamental domain of
 the relation lattice, so plain tuples serve as elements and tuple equality
 is element equality.
+
+A shape expression is read through one leaf table (_leaf_blocks): each
+leaf's coordinates, relation order and action, the identity or the shift.
+spec_order, spec_rank and build read it, and so does presentation's
+constructive split basis.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .cyclo_ring import generator, is_prime, norm
+from .cyclo_ring import is_prime, norm
 from .errors import ParseError, PreconditionError
 from .intlinalg import (
     IntMatrix,
@@ -145,40 +150,61 @@ def parse_modspec(text: str):
     return parts[0] if len(parts) == 1 else DirectSum(tuple(parts))
 
 
-def spec_order(spec, p: int) -> Optional[int]:
-    """Order of the module build(spec, p) realizes, or None when it is
-    infinite: read off the shape, so no matrix is built.  Refuses an invalid
-    shape as build does."""
+def _leaf_blocks(spec, p: int) -> list[tuple]:
+    """The leaf table of a shape: (leaf, width, order, shifted) for each leaf, in order.
+
+    A leaf takes width coordinates, each with the relation order e_i (none
+    when order is 0: a free leaf), and acts on them by the identity or, when
+    shifted, by the shift e_i -> e_(i+1) on each run of p.  The one dispatch
+    over the leaf types; refuses an invalid shape.
+    """
     if isinstance(spec, TrivCyclic):
         if spec.n < 1:
             raise PreconditionError("triv(n) needs n >= 1")
-        return spec.n
+        return [(spec, 1, spec.n, False)]
     if isinstance(spec, (TrivFree, FreeR)):
         if spec.rank < 1:
             raise PreconditionError("free rank must be >= 1")
-        return None
+        shifted = isinstance(spec, FreeR)
+        return [(spec, spec.rank * (p if shifted else 1), 0, shifted)]
     if isinstance(spec, CyclicR):
         if not is_prime(spec.q) or spec.k < 1:
             raise PreconditionError("cyclicR(q,k) needs q prime and k >= 1")
-        return spec.q ** (spec.k * p)
+        return [(spec, p, spec.q**spec.k, True)]
     if isinstance(spec, DirectSum):
         if not spec.parts:
             raise PreconditionError("empty direct sum")
-        orders = [spec_order(part, p) for part in spec.parts]
-        return None if None in orders else math.prod(orders)
+        return [block for part in spec.parts for block in _leaf_blocks(part, p)]
     raise PreconditionError(f"not a module shape: {spec!r}")
 
 
+def _layout(spec, p: int) -> tuple[list[tuple], IntMatrix, IntMatrix]:
+    """The leaf table of a shape, with the relation basis and the action build
+    lays it out on: the diagonal columns order e_i, already in Hermite form,
+    and the permutation that fixes e_i or shifts it."""
+    table = _leaf_blocks(spec, p)
+    rel_rows, targets, rank = [], [], 0
+    for _, width, order, shifted in table:
+        s = len(targets)
+        targets += [s + i - i % p + (i + 1) % p if shifted else s + i for i in range(width)]
+        rel_rows += [{rank + i: order} if order else {} for i in range(width)]
+        rank += width if order else 0
+    r = len(targets)
+    return table, IntMatrix._wrap(rel_rows, r, rank), IntMatrix.unit_columns(r, targets)
+
+
+def spec_order(spec, p: int) -> Optional[int]:
+    """Order of the module build(spec, p) realizes, or None when it is
+    infinite: read off the leaf table, so no matrix is built.  Refuses an
+    invalid shape as build does."""
+    orders = [order**width for _, width, order, _ in _leaf_blocks(spec, p)]
+    return None if 0 in orders else math.prod(orders)
+
+
 def spec_rank(spec, p: int) -> int:
-    """Rank r of the Z^r on which build(spec, p) realizes the module, for a
-    shape that spec_order has validated: read off the shape, like the order."""
-    if isinstance(spec, DirectSum):
-        return sum(spec_rank(part, p) for part in spec.parts)
-    if isinstance(spec, TrivCyclic):
-        return 1
-    if isinstance(spec, CyclicR):
-        return p
-    return spec.rank * (p if isinstance(spec, FreeR) else 1)
+    """Rank r of the Z^r on which build(spec, p) realizes the module: read
+    off the leaf table, like the order."""
+    return sum(width for _, width, _, _ in _leaf_blocks(spec, p))
 
 
 def check_listable(order: Optional[int]) -> None:
@@ -396,32 +422,14 @@ class Submodule:
 
 
 def build(spec, p: int) -> FinMod:
-    """Realize a shape expression as a concrete FinMod."""
+    """Realize a shape expression as one concrete FinMod, laid out by its
+    leaf table; its shape is the leaf, or the sum of the leaves flattened."""
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    spec_order(spec, p)  # validates the shape
-    return _build(spec, p)
-
-
-def _build(spec, p: int) -> FinMod:
-    if isinstance(spec, TrivCyclic):
-        return FinMod(p, 1, Lattice.spanned_by([(spec.n,)], 1), IntMatrix.identity(1), spec)
-    if isinstance(spec, TrivFree):
-        return FinMod(p, spec.rank, Lattice(spec.rank), IntMatrix.identity(spec.rank), spec)
-    if isinstance(spec, CyclicR):
-        q = spec.q**spec.k
-        return FinMod(p, p, Lattice(p, q * IntMatrix.identity(p)), generator(p).matrix(), spec)
-    if isinstance(spec, FreeR):
-        shift = generator(p).matrix()
-        n = p * spec.rank
-        return FinMod(p, n, Lattice(n), IntMatrix.block_diag(*([shift] * spec.rank)), spec)
-    if isinstance(spec, DirectSum):
-        mods = [_build(part, p) for part in spec.parts]
-        out = mods[0]
-        for m in mods[1:]:
-            out = direct_sum(out, m)
-        return out
-    raise PreconditionError(f"not a module shape: {spec!r}")
+    table, rel, aut = _layout(spec, p)
+    leaves = tuple(leaf for leaf, _, _, _ in table)
+    shape = leaves[0] if len(leaves) == 1 else DirectSum(leaves)
+    return FinMod(p, aut.rows, Lattice._from_hermite(aut.rows, rel), aut, shape)
 
 
 def direct_sum(a: FinMod, b: FinMod) -> FinMod:

@@ -132,6 +132,21 @@ def test_constructive_basis_builds_no_module(monkeypatch):
     assert len(calls) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("module", "build", "cyclicR(2,1) + triv(3)", "--p", "2"),
+        ("module", "present", "cyclicR(2,1)+triv(2)", "--p", "5"),
+    ],
+)
+def test_a_sum_of_leaves_is_built_as_one_module(monkeypatch, capsys, argv):
+    # build lays the whole sum out from its leaf table, with no module per
+    # leaf or per partial sum
+    calls = count_calls(monkeypatch, FinMod, "__init__")
+    assert run_cli(capsys, *argv) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("action", ["check", "witness", "diagram"])
 def test_inclusion_decides_twist_condition_once(monkeypatch, capsys, action):
     calls = count_calls(monkeypatch, cyclat.lattice_props, "check_t_condition")

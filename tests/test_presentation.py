@@ -23,9 +23,9 @@ from cyclat.presentation import (
     EquivariantLattice,
     InvariantBasis,
     _CandidatePool,
+    _constructive_basis,
     _extract_orbits,
     _greedy_basis,
-    _leaf_basis,
     _spans_unit_lattice,
     _split_orbits,
     _unit,
@@ -371,20 +371,27 @@ _ORACLE_LEAVES = [(TrivCyclic(n), p) for n in range(1, 10) for p in (2, 3)] + [
 
 
 class TestLeafBasisOracle:
-    """_leaf_basis against the two separate leaf constructions it replaced."""
+    """The constructive basis of a one-leaf sum, and cyclic_trivial_basis and
+    cyclic_r_basis that return it, against the two separate leaf
+    constructions it replaced."""
 
     @pytest.mark.parametrize(
         "shape,p", _ORACLE_LEAVES, ids=[f"{s}-p{p}" for s, p in _ORACLE_LEAVES]
     )
     def test_same_basis_in_the_same_order(self, monkeypatch, shape, p):
         pres = build_aug(build(shape, p))
-        got = _leaf_basis(pres)
-        # got is verified; the reference's vectors need not be checked again
+        got = _constructive_basis(pres.kernel)
+        if isinstance(shape, TrivCyclic):
+            leaf = cyclic_trivial_basis(shape.n, p)
+        else:
+            leaf = cyclic_r_basis(shape.q, shape.k, p)
+        # got and leaf are verified; the reference's vectors need not be checked again
         monkeypatch.setattr(InvariantBasis, "verify", lambda self: None)
         reference = _trivial_basis if isinstance(shape, TrivCyclic) else _cyclic_r_basis
         want = reference(pres)
-        assert got.orbit_blocks == want.orbit_blocks
-        assert got.fixed_vectors == want.fixed_vectors
+        for basis in (got, leaf):
+            assert basis.orbit_blocks == want.orbit_blocks
+            assert basis.fixed_vectors == want.fixed_vectors
 
 
 class _SpansAnything:
@@ -657,12 +664,24 @@ class TestFindInvariantBasis:
         assert exc.value.k == 2
 
     def test_wrong_shape_tag_falls_back_to_search(self):
-        # Z/3 tagged as triv(2): the constructive route must not be taken
-        m = FinMod(2, 1, Lattice.spanned_by([(3,)], 1), IntMatrix.identity(1), TrivCyclic(2))
-        eq = build_aug(m).kernel_pair()
-        k, b = find_invariant_basis(eq)
-        assert k == 0
-        assert b.ambient == eq.lattice and b.rank == 3
+        z3 = Lattice.spanned_by([(3,)], 1)
+        inverse_shift = IntMatrix.unit_columns(3, [2, 0, 1])  # e_i -> e_(i-1)
+        wrong = [
+            # Z/3 tagged as triv(2)
+            FinMod(2, 1, z3, IntMatrix.identity(1), TrivCyclic(2)),
+            # R/(3) at p = 3 tagged as cyclicR(3,1), but acted on by the inverse shift
+            FinMod(3, 3, Lattice(3, 3 * IntMatrix.identity(3)), inverse_shift, CyclicR(3, 1)),
+            # Z/3 tagged with the invalid leaf triv(0)
+            FinMod(2, 1, z3, IntMatrix.identity(1), TrivCyclic(0)),
+        ]
+        for m in wrong:
+            eq = build_aug(m).kernel_pair()
+            # the constructive route must not be taken, nor raise
+            assert _constructive_basis(eq) is None
+            assert eq.is_noncyclotomic()
+            k, b = find_invariant_basis(eq)
+            assert k == 0
+            assert b.ambient == eq.lattice and b.rank == m.order()
 
     def test_random_kernels_split(self):
         rng = random.Random(23)

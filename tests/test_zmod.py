@@ -1,8 +1,12 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cyclat.zmod
+from cyclat.cyclo_ring import generator
 from cyclat.errors import ParseError, PreconditionError
 from cyclat.intlinalg import IntMatrix, Lattice, quotient_invariants
 from cyclat.zmod import (
@@ -109,6 +113,79 @@ class TestBuild:
     def test_shape_merging(self):
         m = direct_sum(build(TrivCyclic(2), 2), build(CyclicR(2, 1), 2))
         assert m.shape == DirectSum((TrivCyclic(2), CyclicR(2, 1)))
+
+
+_LEAVES = st.one_of(
+    st.builds(TrivCyclic, st.integers(1, 9)),
+    st.builds(TrivFree, st.integers(1, 2)),
+    st.builds(CyclicR, st.sampled_from((2, 3, 5)), st.integers(1, 2)),
+    st.builds(FreeR, st.integers(1, 2)),
+)
+_SPECS = st.lists(_LEAVES, min_size=1, max_size=3).map(
+    lambda parts: parts[0] if len(parts) == 1 else DirectSum(tuple(parts))
+)
+
+
+def _leaves(spec):
+    return spec.parts if isinstance(spec, DirectSum) else (spec,)
+
+
+def _reference_leaf(leaf, p):
+    """The module of one leaf, with its shift taken from the group ring's generator."""
+    shift = generator(p).matrix()
+    if isinstance(leaf, TrivCyclic):
+        return Lattice.spanned_by([(leaf.n,)], 1), IntMatrix.identity(1)
+    if isinstance(leaf, TrivFree):
+        return Lattice(leaf.rank), IntMatrix.identity(leaf.rank)
+    if isinstance(leaf, CyclicR):
+        return Lattice(p, leaf.q**leaf.k * IntMatrix.identity(p)), shift
+    return Lattice(p * leaf.rank), IntMatrix.block_diag(*[shift] * leaf.rank)
+
+
+def _rank_and_order(leaf, p):
+    """The rank and the order (None: infinite) of one leaf's module, by hand."""
+    if isinstance(leaf, TrivCyclic):
+        return 1, leaf.n
+    if isinstance(leaf, CyclicR):
+        return p, leaf.q ** (leaf.k * p)
+    return leaf.rank * (p if isinstance(leaf, FreeR) else 1), None
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a FinMod was built")
+
+
+class TestLeafTableOracle:
+    """build, spec_order and spec_rank, which all read the leaf table, against
+    each leaf's own module and the public direct_sum of those modules."""
+
+    @given(_SPECS, st.sampled_from((2, 3, 5, 7)))
+    @settings(max_examples=100, deadline=None)
+    def test_build_is_the_fold_of_its_leaves(self, spec, p):
+        mods = [build(leaf, p) for leaf in _leaves(spec)]
+        for leaf, m in zip(_leaves(spec), mods):
+            assert (m.rel, m.aut, m.shape) == (*_reference_leaf(leaf, p), leaf)
+        want = mods[0]
+        for m in mods[1:]:
+            want = direct_sum(want, m)
+        got = build(spec, p)
+        assert (got.r, got.rel, got.aut, got.shape) == (want.r, want.rel, want.aut, want.shape)
+        order = spec_order(spec, p)
+        assert (order is None) == (not got.is_finite())
+        assert order is None or order == got.order()
+        assert spec_rank(spec, p) == got.r
+
+    @given(_SPECS)
+    @settings(max_examples=30, deadline=None)
+    def test_order_and_rank_build_no_module_at_a_huge_p(self, spec):
+        p = 7919
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FinMod, "__init__", _refuse)
+            order, rank = spec_order(spec, p), spec_rank(spec, p)
+        by_leaf = [_rank_and_order(leaf, p) for leaf in _leaves(spec)]
+        orders = [o for _, o in by_leaf]
+        assert order == (None if None in orders else math.prod(orders))
+        assert rank == sum(r for r, _ in by_leaf)
 
 
 class TestValidation:
