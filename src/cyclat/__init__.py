@@ -105,90 +105,3 @@ from .zmod import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AugPresentation",
-    "AutomorphismReport",
-    "BoundaryMatrix",
-    "CyclatError",
-    "CyclicR",
-    "DiagramReport",
-    "DirectSum",
-    "EquivariantLattice",
-    "FinMod",
-    "FreeR",
-    "GadgetGraph",
-    "GroupGraphSpec",
-    "GroupVerification",
-    "INWARD",
-    "InclusionDiagram",
-    "InclusionPair",
-    "IntMatrix",
-    "InternalInvariantError",
-    "IntersectionReport",
-    "InvariantBasis",
-    "KResult",
-    "Lattice",
-    "NotNoncyclotomic",
-    "OUTWARD",
-    "ParseError",
-    "PreconditionError",
-    "PrimeIdentities",
-    "PropertyCheck",
-    "PurityVerdict",
-    "QuotientInvariants",
-    "RayFamily",
-    "RingElt",
-    "SearchExhausted",
-    "SnfResult",
-    "StabilizedPresentation",
-    "Submodule",
-    "TrivCyclic",
-    "TrivFree",
-    "TruncationReport",
-    "assemble_direct_sum",
-    "boundary_matrix",
-    "build",
-    "build_aug",
-    "build_group_graph",
-    "build_strand_graph",
-    "charpoly",
-    "check_t_condition",
-    "check_t_intersection",
-    "check_twist_power_identity",
-    "column_rank",
-    "compute_k",
-    "const",
-    "core_class_relations",
-    "cyclic_r_basis",
-    "cyclic_trivial_basis",
-    "decompose_prime",
-    "delete_strand",
-    "det",
-    "direct_sum",
-    "find_equivariant_projection",
-    "find_impurity_witness",
-    "find_invariant_basis",
-    "free_r_xi_window",
-    "generator",
-    "hnf",
-    "induced_action",
-    "inclusion_diagram",
-    "inv_unimodular",
-    "is_irreducible",
-    "is_prime",
-    "kernel_basis",
-    "norm",
-    "parse_modspec",
-    "purity_witness",
-    "quotient_invariants",
-    "random_module",
-    "snf",
-    "solve_columns",
-    "stabilization_check",
-    "stabilize_presentation",
-    "to_dot",
-    "twist",
-    "validate_automorphism",
-    "verify_group_graph",
-]

@@ -451,6 +451,18 @@ class GroupGraphSpec:
             out[pos[self.sigma_label(a)]] = b[i]
         return tuple(out)
 
+    @cached_property
+    def relation_perm(self) -> tuple[int, ...]:
+        """Position of gamma(b_i) in bvecs for each relation vector b_i, -1 where it is missing."""
+        pos = {b: i for i, b in enumerate(self.bvecs)}
+        return tuple(pos.get(self.gamma_vec(b), -1) for b in self.bvecs)
+
+    def sign_parts(self, i: int) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
+        """(vertex, sign, part) per nonzero part of b_i, parts nonnegative: b_i = sum of sign * part."""
+        signs = ((f"z{i}+", 1), (f"z{i}-", -1))
+        parts = [(name, sign, tuple(max(sign * x, 0) for x in self.bvecs[i])) for name, sign in signs]
+        return tuple(sp for sp in parts if any(sp[2]))
+
     def pi_matrix(self) -> IntMatrix:
         return IntMatrix.from_cols([self.pi0_of(a) for a in self.labels], rows=self.group_rank)
 
@@ -496,10 +508,8 @@ class GroupGraphSpec:
                 raise PreconditionError("relation vector is not in the kernel of pi")
         if column_rank(IntMatrix.from_cols(self.bvecs, rows=n)) != len(self.bvecs):
             raise PreconditionError("relation vectors are linearly dependent")
-        bset = set(self.bvecs)
-        for b in self.bvecs:
-            if self.gamma_vec(b) not in bset:
-                raise PreconditionError("relation set is not invariant under the action")
+        if -1 in self.relation_perm:
+            raise PreconditionError("relation set is not invariant under the action")
         if self.b_lattice() != self.group_rel.preimage(pmat):
             raise PreconditionError("relation vectors do not span the kernel of pi")
         if Lattice(r, IntMatrix.hstack(pmat, self.group_rel.basis)) != Lattice.full(r):
@@ -511,62 +521,44 @@ def build_group_graph(spec: GroupGraphSpec) -> GadgetGraph:
     """Assemble the gadget graph presenting spec's group in K-theory.
 
     Per generator a: a loop, an edge to the emitter and an outward chain.
-    Per relation vector b: a head z emitting to sign vertices z+ / z-
-    (present only when that part of b is nonzero), the sign vertices
-    emitting the positive and negative parts of b into the generators, and
-    an inward chain at the head.  One inward chain at the emitter closes
-    the construction, and the emitter reaches everything.
+    Per relation vector b: a head z emitting to one sign vertex per nonzero
+    part of b (spec.sign_parts), each sign vertex emitting its part into
+    the generators (the negative one also carries a double loop), and an
+    inward chain at the head.  One inward chain at the emitter closes the
+    construction, and the emitter reaches everything.  The automorphism
+    sends relation i's gadget to relation spec.relation_perm[i]'s.
     """
     spec.validate()
     labels = spec.labels
-    bsigned = []
-    for b in spec.bvecs:
-        plus = tuple(max(x, 0) for x in b)
-        minus = tuple(max(-x, 0) for x in b)
-        bsigned.append((plus, minus))
-
     vertices = list(labels)
+    aut_v = [(a, spec.sigma_label(a)) for a in labels]
     edges = []
     rays = []
+    aut_r = []
     for a in labels:
         edges.append((a, a, 1))
         edges.append((a, "v", 1))
         rays.append(RayFamily(f"x({a})", a, OUTWARD))
-    for i, (plus, minus) in enumerate(bsigned):
-        head, pv, nv = f"z{i}", f"z{i}+", f"z{i}-"
+        aut_r.append((f"x({a})", f"x({spec.sigma_label(a)})"))
+    for i, j in enumerate(spec.relation_perm):
+        head, parts = f"z{i}", spec.sign_parts(i)
         vertices.append(head)
-        if any(plus):
-            vertices.append(pv)
-        if any(minus):
-            vertices.append(nv)
-        if any(plus):
-            edges.append((head, pv, 1))
-        if any(minus):
-            edges.append((head, nv, 1))
+        aut_v.append((head, f"z{j}"))
+        edges += [(head, s, 1) for (s, _, _) in parts]
         edges.append((head, "v", 1))
-        if any(plus):
-            edges.extend((pv, labels[k], plus[k]) for k in range(len(labels)) if plus[k])
-            edges.append((pv, "v", 1))
-        if any(minus):
-            edges.append((nv, nv, 2))
-            edges.extend((nv, labels[k], minus[k]) for k in range(len(labels)) if minus[k])
-            edges.append((nv, "v", 1))
+        # gamma permutes b's entries, so the image relation has the same signs
+        for (s, sign, part), (t, _, _) in zip(parts, spec.sign_parts(j)):
+            vertices.append(s)
+            aut_v.append((s, t))
+            if sign < 0:
+                edges.append((s, s, 2))
+            edges += [(s, labels[k], x) for k, x in enumerate(part) if x]
+            edges.append((s, "v", 1))
         rays.append(RayFamily(f"y{i}", head, INWARD))
+        aut_r.append((f"y{i}", f"y{j}"))
     vertices.append("v")
-    rays.append(RayFamily("c", "v", INWARD))
-
-    perm = []
-    for i, b in enumerate(spec.bvecs):
-        perm.append(spec.bvecs.index(spec.gamma_vec(b)))
-    aut_v = [(a, spec.sigma_label(a)) for a in labels]
-    for i in range(len(spec.bvecs)):
-        aut_v.append((f"z{i}", f"z{perm[i]}"))
-        for sign in "+-":
-            if f"z{i}{sign}" in vertices:
-                aut_v.append((f"z{i}{sign}", f"z{perm[i]}{sign}"))
     aut_v.append(("v", "v"))
-    aut_r = [(f"x({a})", f"x({spec.sigma_label(a)})") for a in labels]
-    aut_r += [(f"y{i}", f"y{perm[i]}") for i in range(len(spec.bvecs))]
+    rays.append(RayFamily("c", "v", INWARD))
     aut_r.append(("c", "c"))
 
     return GadgetGraph(

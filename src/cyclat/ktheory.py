@@ -319,13 +319,9 @@ def _generator_weights(row_index, spec: GroupGraphSpec) -> IntMatrix:
     """
     pmat = spec.pi_matrix()
     weights = {a: spec.pi0_of(a) for a in spec.labels}
-    for i, b in enumerate(spec.bvecs):
-        plus = tuple(max(x, 0) for x in b)
-        minus = tuple(max(-x, 0) for x in b)
-        if any(plus):
-            weights[f"z{i}+"] = pmat.apply(plus)
-        if any(minus):
-            weights[f"z{i}-"] = tuple(-x for x in pmat.apply(minus))
+    for i in range(len(spec.bvecs)):
+        for (s, sign, part) in spec.sign_parts(i):
+            weights[s] = tuple(sign * x for x in pmat.apply(part))
     zero = (0,) * spec.group_rank
     cols = [weights.get(v, zero) for v in row_index]
     return IntMatrix.from_cols(cols, rows=spec.group_rank)

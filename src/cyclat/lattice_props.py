@@ -17,11 +17,10 @@ from .cyclo_ring import RingElt, norm
 from .errors import InternalInvariantError, PreconditionError
 from .intlinalg import IntMatrix, Lattice, snf, solve_columns
 from .presentation import (
-    AugPresentation,
     EquivariantLattice,
     StabilizedPresentation,
-    _stabilize,
     build_aug,
+    stabilize_presentation,
 )
 from .zmod import FinMod, Submodule
 
@@ -322,8 +321,8 @@ def inclusion_diagram(pair: InclusionPair, k_max: int = 4, seed: int = 0) -> Dia
     if impurity is not None:
         return DiagramReport(False, None, impurity)
 
-    row0 = _stabilize(pair.pres0, k_max, seed, 0)
-    row = _stabilize(pair.pres, k_max, seed, row0.k)
+    row0 = stabilize_presentation(pair.pres0, k_max, seed)
+    row = stabilize_presentation(pair.pres, k_max, seed, row0.k)
     p = pair.p
     m = pair.pres.size
     big = m + row.k * p

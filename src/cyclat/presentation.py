@@ -740,9 +740,8 @@ def find_invariant_basis(
 class StabilizedPresentation:
     """Exact row 0 -> N1 -> N2 -> M -> 0 with both lattices carrying split bases.
 
-    N2 is the element lattice plus k regular blocks; its basis is the
-    element basis itself, so cover[i] points at the basis vector of N2
-    lying over elements[i].
+    N2 is the element lattice plus k regular blocks; its basis is the unit
+    basis, and pi_matrix sends unit i below the element count to elements[i].
     """
 
     M: FinMod
@@ -750,7 +749,6 @@ class StabilizedPresentation:
     n1: InvariantBasis
     n2: InvariantBasis
     pi_matrix: IntMatrix
-    cover: tuple[int, ...]
 
 
 def _pad_with_regular_blocks(basis: InvariantBasis, p: int, delta: int) -> InvariantBasis:
@@ -761,26 +759,20 @@ def _pad_with_regular_blocks(basis: InvariantBasis, p: int, delta: int) -> Invar
 
 
 def stabilize_presentation(
-    M: FinMod, k_max: int = DEFAULT_K_MAX, seed: int = 0, k_min: int = 0
+    aug: AugPresentation, k_max: int = DEFAULT_K_MAX, seed: int = 0, k_min: int = 0
 ) -> StabilizedPresentation:
-    """Present M with an invariant-basis kernel, adjoining regular blocks if needed.
+    """Give aug's module an invariant-basis kernel, adjoining regular blocks if needed.
 
     k_min forces at least that many regular blocks, which keeps two rows
     comparable when one needed stabilization and the other did not.
     """
-    return _stabilize(build_aug(M), k_max, seed, k_min)
-
-
-def _stabilize(aug: AugPresentation, k_max: int, seed: int, k_min: int) -> StabilizedPresentation:
-    """stabilize_presentation for the module that aug already presents."""
-    M = aug.M
+    M, p = aug.M, aug.M.p
     k, n1 = find_invariant_basis(
         aug.kernel_pair(), allow_stabilization=True, k_max=max(k_max, k_min), seed=seed
     )
     if k < k_min:
-        n1 = _pad_with_regular_blocks(n1, M.p, k_min - k)
+        n1 = _pad_with_regular_blocks(n1, p, k_min - k)
         k = k_min
-    p = M.p
     total = aug.size + k * p
 
     action, ambient, regular = _regular_blocks(p, k, aug.action, IntMatrix.identity(aug.size))
@@ -794,8 +786,4 @@ def _stabilize(aug: AugPresentation, k_max: int, seed: int, k_min: int) -> Stabi
     exact = kernel.rank == total and M.rel.solve(pi_ext @ kernel.basis) is not None
     if not exact or kernel.index() != M.order():
         raise InternalInvariantError("stabilized row is not exact")
-
-    # every basis vector of N2 is a unit column {j: 1}
-    pos = {next(iter(c)): i for i, c in enumerate(n2.columns())}
-    cover = tuple(pos[M.index_of(x)] for x in aug.elements)
-    return StabilizedPresentation(M, k, n1, n2, pi_ext, cover)
+    return StabilizedPresentation(M, k, n1, n2, pi_ext)

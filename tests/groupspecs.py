@@ -2,8 +2,8 @@
 
 Each builder returns a GroupGraphSpec whose relation vectors were chosen by
 hand so that they are independent, invariant under the induced permutation
-and span the kernel of the generator map exactly.  data_group_graphs()
-builds the group graph files of tests/data.
+and span the kernel of the generator map exactly.  data_group_specs() reads
+the group graph files of tests/data, and data_group_graphs() builds them.
 """
 
 import json
@@ -108,8 +108,13 @@ def zsq_swap():
 ALL_SPECS = (z2_degenerate, z5_mult4, z7_mult2, z3sq_swap, zsq_swap)
 
 
+def data_group_specs():
+    """(file stem, spec) of each group graph file in tests/data."""
+    for path in sorted((pathlib.Path(__file__).parent / "data").glob("group_*.json")):
+        yield path.stem, _group_spec_from_json(json.loads(path.read_text(encoding="utf-8")))
+
+
 def data_group_graphs():
     """(file stem, gadget graph) of each group graph file in tests/data."""
-    for path in sorted((pathlib.Path(__file__).parent / "data").glob("group_*.json")):
-        spec = _group_spec_from_json(json.loads(path.read_text(encoding="utf-8")))
-        yield path.stem, build_group_graph(spec)
+    for stem, spec in data_group_specs():
+        yield stem, build_group_graph(spec)

@@ -14,6 +14,7 @@ import pytest
 
 import cyclat
 from cyclat.cli import main
+from cyclat.graphkit import GroupGraphSpec
 from cyclat.intlinalg import IntMatrix, Lattice, column_rank, kernel_basis
 from cyclat.presentation import EquivariantLattice, build_aug, find_invariant_basis
 from cyclat.zmod import FinMod, build, parse_modspec
@@ -172,6 +173,14 @@ def test_graph_verify_validates_group_once(monkeypatch, capsys):
     rc = run_cli(capsys, "graph", "verify", "--file", str(DATA / "group_z5.json"), "--p", "2")
     assert rc == 0
     assert len(calls) == 1
+
+
+def test_graph_verify_pushes_each_relation_vector_once(monkeypatch, capsys):
+    # validate and the automorphism of the built graph share relation_perm
+    calls = count_calls(monkeypatch, GroupGraphSpec, "gamma_vec")
+    rc = run_cli(capsys, "graph", "verify", "--file", str(DATA / "group_z5.json"), "--p", "2")
+    assert rc == 0
+    assert len(calls) == 5
 
 
 def test_kernel_check_restricts_the_action_once(monkeypatch, capsys):

@@ -18,7 +18,16 @@ from cyclat.graphkit import (
     validate_automorphism,
 )
 from cyclat.intlinalg import IntMatrix, Lattice
-from groupspecs import ALL_SPECS, z2_degenerate, z3sq_swap, z5_mult4, z7_mult2, zsq_swap
+from cyclat.ktheory import _generator_weights
+from groupspecs import (
+    ALL_SPECS,
+    data_group_specs,
+    z2_degenerate,
+    z3sq_swap,
+    z5_mult4,
+    z7_mult2,
+    zsq_swap,
+)
 
 
 def loop_vertex():
@@ -344,6 +353,47 @@ def test_sign_multiplicities_are_equivariant():
                     continue
                 for a in labels:
                     assert g.edge_mult(src, a) == g.edge_mult(dst, g.sigma_vertex(a))
+
+
+GROUP_SPECS = [(make.__name__, make()) for make in ALL_SPECS] + list(data_group_specs())
+
+
+@pytest.mark.parametrize("spec", [s for _, s in GROUP_SPECS], ids=[n for n, _ in GROUP_SPECS])
+def test_relation_layout_oracle(spec):
+    # relation_perm against a scan of bvecs, and the sign vertices' weights
+    # against the multiplicities the built graph carries into the generators
+    bvecs = spec.bvecs
+    perm = spec.relation_perm
+    assert perm == tuple(bvecs.index(spec.gamma_vec(b)) for b in bvecs)
+    assert sorted(perm) == list(range(len(bvecs)))
+    g = build_group_graph(spec)
+    labels = spec.labels
+    sign_vertices = [v for v in g.vertices if v.endswith(("+", "-"))]
+    assert sign_vertices == [s for i in range(len(bvecs)) for (s, _, _) in spec.sign_parts(i)]
+    weights = _generator_weights(sign_vertices, spec)
+    for j, s in enumerate(sign_vertices):
+        sign = 1 if s.endswith("+") else -1
+        want = [0] * spec.group_rank
+        for a in labels:
+            for r, x in enumerate(spec.pi0_of(a)):
+                want[r] += sign * g.edge_mult(s, a) * x
+        assert weights.col(j) == tuple(want), s
+    for i, b in enumerate(bvecs):
+        # the sign vertices of relation i carry b back, part by part
+        own = [s for s in sign_vertices if s[:-1] == f"z{i}"]
+        signed = [sum((1 if s.endswith("+") else -1) * g.edge_mult(s, a) for s in own) for a in labels]
+        assert tuple(signed) == b
+
+
+def test_validate_refuses_a_relation_set_the_action_does_not_keep():
+    spec = z5_mult4()
+    b = spec.bvecs
+    # b0 + b1 is still in the kernel and independent of the rest, but its
+    # image under the action is not a relation vector
+    moved = dataclasses.replace(spec, bvecs=(tuple(x + y for x, y in zip(b[0], b[1])),) + b[1:])
+    assert moved.relation_perm[0] == -1
+    with pytest.raises(PreconditionError, match="^relation set is not invariant under the action$"):
+        moved.validate()
 
 
 def test_equivariant_injection_of_generators():

@@ -695,29 +695,29 @@ class TestFindInvariantBasis:
 
 class TestStabilize:
     def test_z2_trivial(self):
-        s = stabilize_presentation(build(TrivCyclic(2), 2))
+        s = stabilize_presentation(build_aug(build(TrivCyclic(2), 2)))
         assert s.k == 0
         assert s.n2.fixed_vectors == ((1, 0), (0, 1))
-        assert s.cover == (0, 1)
+        assert [s.pi_matrix.col(i) for i in range(2)] == [(0,), (1,)]
 
     def test_r_mod_2(self):
-        s = stabilize_presentation(build(CyclicR(2, 1), 2))
+        s = stabilize_presentation(build_aug(build(CyclicR(2, 1), 2)))
         assert s.k == 0
-        assert len(s.cover) == 4
-        assert len(set(s.cover)) == 4
+        assert sorted(s.n2.vectors()) == sorted(IntMatrix.identity(4).columns())
 
-    def test_cover_lies_over_elements(self):
+    def test_element_basis_lies_over_elements(self):
+        # N2's basis is the unit basis, and pi sends unit i to elements[i]
         rng = random.Random(31)
         for _ in range(5):
             m = random_module(rng, 2, max_order=16)
-            s = stabilize_presentation(m)
-            vecs = s.n2.vectors()
-            pres_elems = m.enumerate()
-            for i, x in enumerate(pres_elems):
-                assert m.reduce(s.pi_matrix.apply(vecs[s.cover[i]])) == x
+            s = stabilize_presentation(build_aug(m))
+            n = s.n2.rank
+            assert sorted(s.n2.vectors()) == sorted(IntMatrix.identity(n).columns())
+            for i, x in enumerate(m.enumerate()):
+                assert m.reduce(s.pi_matrix.col(i)) == x
 
     def test_mult_by_4_on_z5(self):
-        s = stabilize_presentation(mult_by(2, 5, 4))
+        s = stabilize_presentation(build_aug(mult_by(2, 5, 4)))
         assert s.n1.rank == 5 + 2 * s.k
         assert s.n2.rank == 5 + 2 * s.k
 
@@ -732,7 +732,7 @@ class TestStabilize:
         wrong = InvariantBasis(2, IntMatrix.identity(2), Lattice.spanned_by(vectors, 2), [], vectors)
         monkeypatch.setattr(cyclat.presentation, "find_invariant_basis", lambda *a, **kw: (0, wrong))
         with pytest.raises(InternalInvariantError, match="stabilized row is not exact"):
-            stabilize_presentation(build(TrivCyclic(2), 2))
+            stabilize_presentation(build_aug(build(TrivCyclic(2), 2)))
 
 
 # ---------------------------------------------------------------------------
