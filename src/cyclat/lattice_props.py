@@ -216,8 +216,6 @@ def find_impurity_witness(pair: InclusionPair) -> Optional[PurityVerdict]:
 def _sylvester_solve(a: IntMatrix, b: IntMatrix, c: IntMatrix) -> Optional[IntMatrix]:
     """Integer X with a X - X b = c, or None; X is a.rows x b.rows."""
     m, n = a.rows, b.rows
-    if m == 0 or n == 0:
-        return IntMatrix.zeros(m, n)
     rows = []
     rhs = []
     for j in range(n):
@@ -337,9 +335,9 @@ def inclusion_diagram(pair: InclusionPair, k_max: int = 4, seed: int = 0) -> Dia
     if pair.M.rel.solve(lhs - rhs) is None:
         raise InternalInvariantError("column map must commute with the projections")
 
-    n1_eq = EquivariantLattice(p, row.n1.ambient, act)
+    # N1 is the presentation kernel plus row.k regular blocks, as the search built it
     small_kernel = Lattice(big, jmap @ row0.n1.ambient.basis)
-    proj = find_equivariant_projection(small_kernel, n1_eq)
+    proj = find_equivariant_projection(small_kernel, pair.eq().stabilized(row.k))
     if proj is None:
         raise InternalInvariantError("twist condition held but the kernel does not split")
     diagram = InclusionDiagram(pair, row0, row, jmap, proj)

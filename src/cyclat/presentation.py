@@ -92,11 +92,16 @@ def _regular_blocks(p: int, k: int, action: IntMatrix, basis: IntMatrix):
     as columns.
     """
     old = action.rows
-    total = old + k * p
     grown = IntMatrix.block_diag(action, _layout(FreeR(k), p)[2]) if k else action  # freeR(k)'s shifts
-    span = Lattice(total, IntMatrix.block_diag(basis, IntMatrix.identity(k * p)))
+    span = Lattice(old + k * p, IntMatrix.block_diag(basis, IntMatrix.identity(k * p)))
     orbits = [tuple({old + j * p + i: 1} for i in range(p)) for j in range(k)]
     return grown, span, orbits
+
+
+def _split_with_regular_blocks(p: int, k: int, action: IntMatrix, basis: IntMatrix, blocks, fixed):
+    """The split basis (blocks, fixed) of a lattice, extended to the lattice plus k regular blocks."""
+    grown, span, regular = _regular_blocks(p, k, action, basis)
+    return InvariantBasis(p, grown, span, list(blocks) + regular, fixed)
 
 
 class EquivariantLattice:
@@ -275,15 +280,23 @@ def _kernel_hermite(M: FinMod, elements) -> IntMatrix:
     return IntMatrix._wrap(rows, m, m)
 
 
+def _certify_kernel(M: FinMod, pi: IntMatrix, kernel: Lattice, what: str) -> None:
+    """Certify kernel as all of {w : pi w in M.rel}, for a pi onto M: full rank, inside it, and
+    index |M|, which is that kernel's own index (Cohen, GTM 138, section 2.4)."""
+    if kernel.rank != pi.cols:
+        raise InternalInvariantError(f"{what} is not of full rank")
+    if M.rel.solve(pi @ kernel.basis) is None:
+        raise InternalInvariantError(f"{what} maps outside the relations")
+    if kernel.index() != M.order():
+        raise InternalInvariantError(f"{what} has the wrong index")
+
+
 def build_aug(M: FinMod) -> AugPresentation:
     """Present a finite module by the free abelian group on its elements.
 
-    The kernel's canonical basis H comes from _kernel_hermite and is
-    certified three ways before use: Lattice._from_hermite checks its
-    Hermite shape in one pass, M.rel.solve(pi @ H) puts every column in the
-    kernel, and the product of its diagonal is |M|.  The kernel has index |M|
-    too, since pi maps onto M, so a full-rank sublattice of it with that
-    index is all of it (Cohen, GTM 138, section 2.4).
+    The kernel's canonical basis H comes from _kernel_hermite; Lattice._from_hermite
+    checks its Hermite shape in one pass, and _certify_kernel certifies it as the
+    whole kernel (full rank, pi H in the relations, index |M|) before use.
     """
     if not M.is_finite():
         raise PreconditionError(UNPRESENTABLE)
@@ -292,10 +305,7 @@ def build_aug(M: FinMod) -> AugPresentation:
     m = len(elements)
     action = IntMatrix.unit_columns(m, M.action_permutation())
     n = Lattice._from_hermite(m, _kernel_hermite(M, elements))
-    if M.rel.solve(pi @ n.basis) is None:
-        raise InternalInvariantError("presentation kernel basis maps outside the relations")
-    if n.index() != M.order():
-        raise InternalInvariantError("presentation kernel basis has the wrong index")
+    _certify_kernel(M, pi, n, "presentation kernel basis")
     try:
         kernel = EquivariantLattice(M.p, n, action, provenance=M)
     except PreconditionError as exc:
@@ -662,8 +672,6 @@ def _complete_with_fixed(u: IntMatrix, chosen: int, fix: Lattice) -> Optional[In
     need = r - chosen
     if need == 0:
         return IntMatrix.zeros(r, 0)
-    if fix.rank == 0:
-        return None
     proj = u.submatrix(range(chosen, r), range(r))
     sol = solve_columns(proj @ fix.basis, IntMatrix.identity(need))
     return None if sol is None else fix.basis @ sol
@@ -683,9 +691,8 @@ def _greedy_basis(
     c = eq.restricted()
     r = c.rows
     fix = kernel_basis(c - IntMatrix.identity(r))
-    orbit_count, rem = divmod(r - fix.rank, eq.p - 1)
-    if rem:
-        return None, 0
+    # a noncyclotomic lattice is Z[C_p]^a + Z^b, so r - rank(fixed) = a (p - 1)
+    orbit_count = (r - fix.rank) // (eq.p - 1)
     n = orbit_count * eq.p
     for attempt in range(1, GREEDY_ATTEMPTS + 1):
         pool = _CandidatePool(r, rng)
@@ -751,13 +758,6 @@ class StabilizedPresentation:
     pi_matrix: IntMatrix
 
 
-def _pad_with_regular_blocks(basis: InvariantBasis, p: int, delta: int) -> InvariantBasis:
-    """Extend a split basis of L to one of L plus delta regular blocks."""
-    # L's columns keep their indices below the new blocks'
-    action, ambient, regular = _regular_blocks(p, delta, basis.action, basis.ambient.basis)
-    return InvariantBasis(p, action, ambient, basis.orbit_columns + tuple(regular), basis.fixed_columns)
-
-
 def stabilize_presentation(
     aug: AugPresentation, k_max: int = DEFAULT_K_MAX, seed: int = 0, k_min: int = 0
 ) -> StabilizedPresentation:
@@ -771,19 +771,12 @@ def stabilize_presentation(
         aug.kernel_pair(), allow_stabilization=True, k_max=max(k_max, k_min), seed=seed
     )
     if k < k_min:
-        n1 = _pad_with_regular_blocks(n1, p, k_min - k)
+        n1 = _split_with_regular_blocks(
+            p, k_min - k, n1.action, n1.ambient.basis, n1.orbit_columns, n1.fixed_columns
+        )
         k = k_min
-    total = aug.size + k * p
-
-    action, ambient, regular = _regular_blocks(p, k, aug.action, IntMatrix.identity(aug.size))
     fixed, blocks = _split_orbits(M.orbits(), lambda x: {M.index_of(x): 1})
-    n2 = InvariantBasis(p, action, ambient, blocks + regular, fixed)
-
+    n2 = _split_with_regular_blocks(p, k, aug.action, IntMatrix.identity(aug.size), blocks, fixed)
     pi_ext = IntMatrix.hstack(aug.pi_matrix, IntMatrix.zeros(M.r, k * p))
-    # pi_ext maps onto M, so a full-rank n1 inside its kernel with index |M|
-    # is the whole kernel
-    kernel = n1.ambient
-    exact = kernel.rank == total and M.rel.solve(pi_ext @ kernel.basis) is not None
-    if not exact or kernel.index() != M.order():
-        raise InternalInvariantError("stabilized row is not exact")
+    _certify_kernel(M, pi_ext, n1.ambient, "stabilized row is not exact: N1")
     return StabilizedPresentation(M, k, n1, n2, pi_ext)

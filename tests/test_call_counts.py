@@ -167,6 +167,14 @@ def test_inclusion_diagram_presents_each_module_once(monkeypatch, capsys, spec, 
     assert len(calls) == presented
 
 
+def test_inclusion_diagram_builds_no_kernel_lattice_of_its_own(monkeypatch, capsys):
+    # the presentations of M and M_0 build one each; the projection of the
+    # stabilized row reads the kernel the search already checked
+    calls = count_calls(monkeypatch, EquivariantLattice, "__init__")
+    assert run_cli(capsys, "inclusion", "diagram", "cyclicR(2,1)", "--sub", "full", "--p", "2") == 0
+    assert len(calls) == 2
+
+
 def test_graph_verify_validates_group_once(monkeypatch, capsys):
     # each validation of a group description builds the group as one FinMod
     calls = count_calls(monkeypatch, FinMod, "__init__")

@@ -715,6 +715,30 @@ class TestHnfOracle:
         assert hnf(a @ w)[0] == hnf(a)[0]
 
 
+def test_lattice_spans_what_an_independent_hermite_form_spans():
+    # sympy's Hermite form keeps another pivot convention, so the two bases
+    # are compared as the lattices they span; sympy's form of Lattice's basis
+    # must also be sympy's form of A, which no code of ours decides
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    def sympy_form(a: IntMatrix):
+        return hermite_normal_form(sympy.Matrix(a.rows, a.cols, [x for row in a.tolist() for x in row]))
+
+    rng = random.Random(27)
+    deficient = 0
+    for _ in range(400):
+        m, n = rng.randint(1, 6), rng.randint(0, 7)
+        rows = [[rng.randint(-9, 9) if rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(m)]
+        a = IntMatrix(rows, shape=(m, n))
+        h = sympy_form(a)
+        got = Lattice(m, a)
+        assert got == Lattice(m, IntMatrix(h.tolist(), shape=(m, h.cols)))
+        assert sympy_form(got.basis) == h
+        deficient += got.rank < min(m, n)
+    assert deficient > 100
+
+
 def _columnwise_solve_reference(a: IntMatrix, b: IntMatrix):
     """solve_columns as one _hnf_divmod per column of B, which the one forward
     substitution replaced; the same X or the same None."""

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import cyclat.lattice_props
 from cyclat.cyclo_ring import const, norm, twist
 from cyclat.errors import PreconditionError
 from cyclat.intlinalg import IntMatrix, Lattice
@@ -134,6 +135,23 @@ class TestPurity:
         # 2 e-hat_0 is in N but 2x its class does not land in N_0
         with pytest.raises(PreconditionError):
             purity_witness(pair, (0, 0, 2, 0), const(2, 1))
+
+    def test_direct_membership_decides_when_the_constructive_route_is_blocked(self, monkeypatch):
+        # the twist condition fails, so no w_0 exists and the verdict comes
+        # from solving lam N_0 against lam xi directly
+        pair = r4_twist_pair()
+        w = find_impurity_witness(pair)
+        solve = cyclat.lattice_props.solve_columns
+        calls = []
+
+        def recording(a, b):
+            calls.append((a.rows, a.cols))
+            return solve(a, b)
+
+        monkeypatch.setattr(cyclat.lattice_props, "solve_columns", recording)
+        v = purity_witness(pair, w.xi, norm(2))
+        assert len(calls) == 3 and calls[2] == (16, 4)
+        assert not v.pure and v == w
 
     def test_purity_conclusion_on_random_pairs(self):
         rng = random.Random(41)

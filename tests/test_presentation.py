@@ -151,6 +151,12 @@ class TestClosedFormKernel:
         with pytest.raises(InternalInvariantError, match="outside the relations"):
             build_aug(m)
 
+    def test_a_basis_of_too_low_rank_raises(self, monkeypatch):
+        # H without its last column keeps the Hermite shape and lies in the kernel
+        m = self.tampered(monkeypatch, lambda h: h.submatrix(range(h.rows), range(h.cols - 1)))
+        with pytest.raises(InternalInvariantError, match="not of full rank"):
+            build_aug(m)
+
     def test_a_basis_of_the_wrong_index_raises(self, monkeypatch):
         # 2 H keeps the Hermite shape and lies in the kernel, with index 2^m |M|
         m = self.tampered(monkeypatch, lambda h: 2 * h)
@@ -721,10 +727,28 @@ class TestStabilize:
         assert s.n1.rank == 5 + 2 * s.k
         assert s.n2.rank == 5 + 2 * s.k
 
+    @pytest.mark.parametrize("spec, p", [("triv(2)", 2), ("cyclicR(2,1)", 2), ("triv(3)", 3)])
+    def test_k_min_pads_n1_with_a_regular_block(self, spec, p):
+        # the search needs no block here, so k_min = 1 takes the padding path
+        m = build(parse_modspec(spec), p)
+        aug = build_aug(m)
+        k0, b0 = find_invariant_basis(aug.kernel_pair(), allow_stabilization=True)
+        assert k0 == 0
+        s = stabilize_presentation(aug, k_min=1)
+        n = aug.size
+        assert s.k == 1
+        # N1 is N + R: N's split basis, then the unit vectors after the elements
+        assert s.n1.ambient == Lattice(n + p, IntMatrix.block_diag(aug.N.basis, IntMatrix.identity(p)))
+        assert s.n1.fixed_columns == b0.fixed_columns
+        assert s.n1.orbit_columns == b0.orbit_columns + (tuple({n + i: 1} for i in range(p)),)
+        assert sorted(s.n2.vectors()) == sorted(IntMatrix.identity(n + p).columns())
+        assert s.n1.action == s.n2.action
+        assert m.rel.solve(s.pi_matrix @ s.n1.ambient.basis) is not None
+
     @pytest.mark.parametrize(
         "vectors",
-        [((2, 0), (0, 4)), ((2, 0), (0, 1))],
-        ids=["twice-the-kernel", "right-index-outside-the-kernel"],
+        [((2, 0), (0, 4)), ((2, 0), (0, 1)), ((1, 0),)],
+        ids=["twice-the-kernel", "right-index-outside-the-kernel", "not-of-full-rank"],
     )
     def test_wrong_kernel_is_not_exact(self, monkeypatch, vectors):
         # triv(2) is presented by pi = [0 1], whose kernel is spanned by
