@@ -6,7 +6,6 @@ of the directed graphs assembled from those presentations.
 from .cyclo_ring import (
     PrimeIdentities,
     RingElt,
-    check_twist_power_identity,
     const,
     decompose_prime,
     generator,
@@ -87,7 +86,6 @@ from .presentation import (
     cyclic_r_basis,
     cyclic_trivial_basis,
     find_invariant_basis,
-    free_r_xi_window,
     stabilize_presentation,
 )
 from .zmod import (

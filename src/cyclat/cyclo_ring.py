@@ -298,8 +298,3 @@ def decompose_prime(p: int) -> PrimeIdentities:
     if const(p, p) != -tp1 + tp * f + s * g:
         raise InternalInvariantError("prime decomposition failed verification")
     return PrimeIdentities(p, core, seed, f, g, tuple(steps))
-
-
-def check_twist_power_identity(p: int, k: int) -> bool:
-    """Whether twist^(k(p-1)) == p^k * core^k + (-1)^(k-1) * p^(k-1) * norm."""
-    return decompose_prime(p).twist_power_identity_holds(k)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .errors import PreconditionError
 from .intlinalg import IntMatrix, Lattice, column_rank
-from .zmod import FinMod
+from .zmod import FinMod, cycles
 
 INWARD = "inward"
 OUTWARD = "outward"
@@ -235,24 +235,6 @@ class AutomorphismReport:
     ray_cycles: tuple[tuple[str, ...], ...]
 
 
-def _cycles(pairs: Sequence[tuple[str, str]], order_hint: Sequence[str]) -> list[tuple[str, ...]]:
-    nxt = dict(pairs)
-    seen = set()
-    cycles = []
-    for start in order_hint:
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        cur = nxt[start]
-        while cur != start:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = nxt[cur]
-        cycles.append(tuple(cyc))
-    return cycles
-
-
 def validate_automorphism(g: GadgetGraph) -> AutomorphismReport:
     """Check the stored maps really are a graph automorphism, return its order.
 
@@ -272,8 +254,8 @@ def validate_automorphism(g: GadgetGraph) -> AutomorphismReport:
             raise PreconditionError(f"ray {f.name} maps to a ray on the wrong base")
         if not f.same_pattern(img):
             raise PreconditionError(f"ray {f.name} maps to a ray with a different gadget")
-    vcyc = _cycles(g.aut_vertices, g.vertices)
-    rcyc = _cycles(g.aut_rays, [f.name for f in g.rays])
+    vcyc = cycles(sig, g.vertices)
+    rcyc = cycles(rig, [f.name for f in g.rays])
     order = 1
     for cyc in vcyc + rcyc:
         order = lcm(order, len(cyc))

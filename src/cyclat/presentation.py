@@ -26,8 +26,8 @@ candidate vectors, each accepted when a p-column Hermite elimination says
 it keeps the chosen set primitive, then fixed vectors completing them; one
 certified Smith form per completed search hands the completion its
 transform.  A split basis holds its vectors as sparse columns {index:
-entry}, as every builder here emits them; the dense tuples are made only
-when read.
+entry}, as every builder here emits them; the dense tuples are made on
+each read.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import (
     PreconditionError,
     SearchExhausted,
 )
-from .intlinalg import IntMatrix, Lattice, column_rank, kernel_basis, snf, solve_columns
+from .intlinalg import IntMatrix, Lattice, kernel_basis, snf, solve_columns
 from .intlinalg import _hermite_columns, _unit_pivots, is_unimodular
 from .zmod import CyclicR, FinMod, FreeR, TrivCyclic, _layout, build, direct_sum
 
@@ -114,7 +114,7 @@ class EquivariantLattice:
     identity without a power or a solve.
     """
 
-    __slots__ = ("p", "lattice", "action", "provenance", "_restricted", "_witness", "_basis")
+    __slots__ = ("p", "lattice", "action", "provenance", "_restricted", "_witness", "_basis", "_stabilized")
 
     def __init__(self, p: int, lattice: Lattice, action: IntMatrix, provenance=None):
         n = lattice.ambient
@@ -137,6 +137,7 @@ class EquivariantLattice:
         self._restricted = restricted
         self._witness = _UNDECIDED
         self._basis = None
+        self._stabilized = {}
 
     @property
     def rank(self) -> int:
@@ -197,11 +198,13 @@ class EquivariantLattice:
         raise InternalInvariantError("norm kernel differs from the twist image without a witness")
 
     def stabilized(self, k: int) -> "EquivariantLattice":
-        """Direct sum with k regular-representation blocks."""
+        """Direct sum with k regular-representation blocks, built once and kept."""
         if k == 0:
             return self
-        action, lattice, _ = _regular_blocks(self.p, k, self.action, self.lattice.basis)
-        return EquivariantLattice(self.p, lattice, action)
+        if k not in self._stabilized:
+            action, lattice, _ = _regular_blocks(self.p, k, self.action, self.lattice.basis)
+            self._stabilized[k] = EquivariantLattice(self.p, lattice, action)
+        return self._stabilized[k]
 
 
 class AugPresentation:
@@ -317,42 +320,32 @@ class InvariantBasis:
     """A basis split into p-cycles of the action and fixed vectors.
 
     The stored order is fixed vectors first, then the orbit blocks in
-    order.  Each vector is held as a sparse column {index: nonzero entry} of
-    the ambient space (fixed_columns, orbit_columns); a vector given as a
-    dict is taken over as it is, and one given as a dense sequence is
-    converted on the way in.  verify reads the columns as
-    they are, and orbit_blocks, fixed_vectors and vectors() build the dense
-    tuples only when first read, and keep them.  Every constructor in this
-    module verifies the split before handing the object out.
+    order.  Each vector is given and held as a sparse column {index: nonzero
+    entry} of the ambient space (fixed_columns, orbit_columns).  verify
+    reads the columns as they are, and orbit_blocks, fixed_vectors and
+    vectors() build the dense tuples on each read.  Every constructor in
+    this module verifies the split before handing the object out.
     """
 
-    __slots__ = (
-        "p", "action", "ambient", "orbit_columns", "fixed_columns", "_orbit_blocks", "_fixed_vectors"
-    )
+    __slots__ = ("p", "action", "ambient", "orbit_columns", "fixed_columns")
 
-    def __init__(self, p, action, ambient, orbit_blocks, fixed_vectors):
-        n = ambient.ambient
+    def __init__(self, p, action, ambient, orbit_columns, fixed_columns):
         self.p = p
         self.action = action
         self.ambient = ambient
-        self.orbit_columns = tuple(tuple(_as_column(n, v) for v in blk) for blk in orbit_blocks)
-        self.fixed_columns = tuple(_as_column(n, v) for v in fixed_vectors)
-        self._orbit_blocks = self._fixed_vectors = None
+        self.orbit_columns = tuple(tuple(blk) for blk in orbit_columns)
+        self.fixed_columns = tuple(fixed_columns)
         self.verify()
 
     @property
     def orbit_blocks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        if self._orbit_blocks is None:
-            n = self.ambient.ambient
-            self._orbit_blocks = tuple(tuple(_dense(n, c) for c in blk) for blk in self.orbit_columns)
-        return self._orbit_blocks
+        n = self.ambient.ambient
+        return tuple(tuple(_dense(n, c) for c in blk) for blk in self.orbit_columns)
 
     @property
     def fixed_vectors(self) -> tuple[tuple[int, ...], ...]:
-        if self._fixed_vectors is None:
-            n = self.ambient.ambient
-            self._fixed_vectors = tuple(_dense(n, c) for c in self.fixed_columns)
-        return self._fixed_vectors
+        n = self.ambient.ambient
+        return tuple(_dense(n, c) for c in self.fixed_columns)
 
     def vectors(self) -> list[tuple[int, ...]]:
         out = list(self.fixed_vectors)
@@ -403,15 +396,6 @@ class InvariantBasis:
 
     def summary(self) -> str:
         return f"{len(self.orbit_columns)} free orbit(s) + {len(self.fixed_columns)} fixed"
-
-
-def _as_column(n: int, v) -> dict[int, int]:
-    """A basis vector as a sparse column: a dict is taken as one, a sequence must have length n."""
-    if isinstance(v, dict):
-        return v
-    if len(v) != n:
-        raise InternalInvariantError("basis vector outside the ambient space")
-    return {i: int(x) for i, x in enumerate(v) if x}
 
 
 def _check_assembly_convention(basis: InvariantBasis, pres: AugPresentation) -> None:
@@ -479,33 +463,6 @@ def _cross_vectors(M: FinMod, orbits, s: int, e: int):
 
     crossing = (o for o in orbits if any(o[0][:s]) and any(o[0][s:e]) and not any(o[0][e:]))
     return _split_orbits(crossing, xi)
-
-
-def free_r_xi_window(p: int, xs: Sequence[Sequence[int]]):
-    """Windowed kernel vectors for the free rank-one module.
-
-    The module is Z^p with the cyclic shift; its elements cannot all be
-    listed, so the caller picks finitely many x (none of them a standard
-    generator) and gets xi_x = x-hat - sum x_i e_i-hat over the index
-    window consisting of the generators followed by the requested x.
-    Returns (window, matrix of xi columns); independence is verified.
-    """
-    gens = [_unit(p, i) for i in range(p)]
-    seen = set(gens)
-    xs = [tuple(x) for x in xs]
-    for x in xs:
-        if len(x) != p:
-            raise PreconditionError("window element of the wrong length")
-        if x in seen:
-            raise PreconditionError("window elements must be distinct non-generators")
-        seen.add(x)
-    window = gens + xs
-    pos = {x: i for i, x in enumerate(window)}
-    cols = [_column([(pos[x], 1)] + [(i, -int(c)) for i, c in enumerate(x)]) for x in xs]
-    mat = IntMatrix._wrap(cols, len(cols), len(window)).transpose()
-    if column_rank(mat) != len(cols):
-        raise InternalInvariantError("window vectors must be independent")
-    return window, mat
 
 
 def assemble_direct_sum(
@@ -629,8 +586,6 @@ def _extract_orbits(c: IntMatrix, p: int, target: int, pool: _CandidatePool):
     vectors, which must agree with the test.
     """
     r = c.rows
-    if target == 0:
-        return [], IntMatrix.identity(r)
     powers = [IntMatrix.identity(r)]
     for _ in range(p - 1):
         powers.append(c @ powers[-1])

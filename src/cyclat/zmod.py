@@ -218,6 +218,19 @@ def check_listable(order: Optional[int]) -> None:
         )
 
 
+def cycles(nxt, starts) -> list[tuple]:
+    """The cycles of the permutation x -> nxt[x], each listed from its first item in starts."""
+    seen, out = set(), []
+    for x in starts:
+        if x not in seen:
+            cyc = [x]
+            while nxt[cyc[-1]] != x:
+                cyc.append(nxt[cyc[-1]])
+            seen.update(cyc)
+            out.append(tuple(cyc))
+    return out
+
+
 # -- the module model ---------------------------------------------------------
 
 
@@ -309,16 +322,8 @@ class FinMod:
 
     def orbits(self) -> list[list[tuple[int, ...]]]:
         """Partition of the elements into action orbits (sizes 1 or p)."""
-        elems, perm = self.enumerate(), self.action_permutation()
-        seen, out = set(), []
-        for i in range(len(elems)):
-            if i not in seen:
-                orb = [i]
-                while perm[orb[-1]] != i:
-                    orb.append(perm[orb[-1]])
-                seen.update(orb)
-                out.append([elems[j] for j in orb])
-        return out
+        elems = self.enumerate()
+        return [[elems[j] for j in orb] for orb in cycles(self.action_permutation(), range(len(elems)))]
 
     # -- distinguished operator lattices (all contain rel) -----------------
 

@@ -8,6 +8,7 @@ computation fails here instead of only showing up as slower runs.
 
 import argparse
 import pathlib
+import random
 import sys
 
 import pytest
@@ -16,8 +17,9 @@ import cyclat
 from cyclat.cli import main
 from cyclat.graphkit import GroupGraphSpec
 from cyclat.intlinalg import IntMatrix, Lattice, column_rank, kernel_basis
+from cyclat.lattice_props import InclusionPair, inclusion_diagram
 from cyclat.presentation import EquivariantLattice, build_aug, find_invariant_basis
-from cyclat.zmod import FinMod, build, parse_modspec
+from cyclat.zmod import FinMod, build, parse_modspec, random_module
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -173,6 +175,21 @@ def test_inclusion_diagram_builds_no_kernel_lattice_of_its_own(monkeypatch, caps
     calls = count_calls(monkeypatch, EquivariantLattice, "__init__")
     assert run_cli(capsys, "inclusion", "diagram", "cyclicR(2,1)", "--sub", "full", "--p", "2") == 0
     assert len(calls) == 2
+
+
+def test_inclusion_diagram_builds_each_stabilized_kernel_once(monkeypatch):
+    # the 58th draw of random.Random(11), whose basis search needs k = 3; the
+    # projection step splits off the small kernel in the lattice the search split
+    rng = random.Random(11)
+    for _ in range(58):
+        p = rng.choice([2, 3, 5])
+        m = random_module(rng, p, max_order=64)
+        rng.choice([1, 2])
+    calls = count_calls(monkeypatch, EquivariantLattice, "__init__")
+    report = inclusion_diagram(InclusionPair(m, m.submodule_from_lattice(m.rel)))
+    assert report.condition_holds and report.diagram.row.k == 3
+    # M's kernel, the zero module's, then M's kernel plus 1, 2 and 3 regular blocks
+    assert [args[2].rank for args in calls] == [64, 1, 67, 70, 73]
 
 
 def test_graph_verify_validates_group_once(monkeypatch, capsys):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from cyclat.cyclo_ring import (
     RingElt,
-    check_twist_power_identity,
     const,
     decompose_prime,
     divide_by_twist,
@@ -166,7 +165,7 @@ class TestTwistPowers:
     @pytest.mark.parametrize("p", (2, 3, 5, 7))
     @pytest.mark.parametrize("k", (1, 2, 3, 4))
     def test_power_identity(self, p, k):
-        assert check_twist_power_identity(p, k)
+        assert decompose_prime(p).twist_power_identity_holds(k)
 
     def test_p2_explicit(self):
         # t^2 == 2 - 2x == 4*core^2 - 2*norm when p == 2

@@ -228,6 +228,16 @@ class TestProjection:
         # the diagonal is invariant, so the same lattice gets past both checks
         assert find_equivariant_projection(Lattice.spanned_by([(1, 1)], 2), eq) is None
 
+    def test_summand_that_is_not_pure(self, monkeypatch):
+        # twice the diagonal is invariant, but Z^2 / <(2, 2)> has torsion, so
+        # it is refused before the Sylvester equation is set up
+        def unreached(*args):
+            raise AssertionError("a summand that is not pure reached the Sylvester solve")
+
+        monkeypatch.setattr(cyclat.lattice_props, "_sylvester_solve", unreached)
+        eq = EquivariantLattice(2, Lattice.full(2), self.SWAP)
+        assert find_equivariant_projection(Lattice.spanned_by([(2, 2)], 2), eq) is None
+
     def test_matches_twist_condition(self):
         for text in ("triv(4)", "cyclicR(2,1)", "triv(2) + triv(2)"):
             m = build(parse_modspec(text), 2)

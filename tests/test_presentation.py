@@ -34,7 +34,6 @@ from cyclat.presentation import (
     cyclic_r_basis,
     cyclic_trivial_basis,
     find_invariant_basis,
-    free_r_xi_window,
     stabilize_presentation,
 )
 from cyclat.zmod import (
@@ -54,6 +53,18 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 def mult_by(p, n, u):
     return FinMod(p, 1, Lattice.spanned_by([(n,)], 1), IntMatrix([[u]]))
+
+
+def _sparse(v) -> dict[int, int]:
+    """A dense vector as the sparse column {index: nonzero entry} InvariantBasis takes."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def _basis_of_tuples(p, action, ambient, blocks, fixed) -> InvariantBasis:
+    """An InvariantBasis of dense blocks and fixed vectors, each converted to a sparse column."""
+    return InvariantBasis(
+        p, action, ambient, [tuple(map(_sparse, blk)) for blk in blocks], list(map(_sparse, fixed))
+    )
 
 
 class TestBuildAug:
@@ -337,7 +348,7 @@ def _trivial_basis(pres: AugPresentation) -> InvariantBasis:
         fixed.append(tuple(v))
     if n > 1:
         fixed.append(tuple(n if i == one else 0 for i in range(m)))
-    return InvariantBasis(pres.M.p, pres.action, pres.N, [], fixed)
+    return _basis_of_tuples(pres.M.p, pres.action, pres.N, [], fixed)
 
 
 def _cyclic_r_basis(pres: AugPresentation) -> InvariantBasis:
@@ -364,7 +375,7 @@ def _cyclic_r_basis(pres: AugPresentation) -> InvariantBasis:
     qk = shape.q ** shape.k
     blocks.append(tuple(tuple(qk if j == gen_idx[i] else 0 for j in range(m)) for i in range(p)))
     # xi_0 is 0-hat and lands first because enumerate() lists 0 first
-    return InvariantBasis(p, pres.action, pres.N, blocks, fixed)
+    return _basis_of_tuples(p, pres.action, pres.N, blocks, fixed)
 
 
 _ORACLE_LEAVES = [(TrivCyclic(n), p) for n in range(1, 10) for p in (2, 3)] + [
@@ -419,7 +430,7 @@ class TestInvariantBasisVerify:
     E0, E1, E2, E3 = (_unit(4, i) for i in range(4))
 
     def make(self, blocks, fixed):
-        return InvariantBasis(3, self.ACTION, Lattice.full(4), blocks, fixed)
+        return _basis_of_tuples(3, self.ACTION, Lattice.full(4), blocks, fixed)
 
     def test_valid_split(self):
         basis = self.make([(self.E0, self.E1, self.E2)], [self.E3])
@@ -452,7 +463,7 @@ class TestInvariantBasisVerify:
         # two vectors span lets the period check see the block
         e0 = _unit(2, 0)
         with pytest.raises(InternalInvariantError, match="orbit block has period 1"):
-            InvariantBasis(2, IntMatrix.identity(2), _SpansAnything(), [(e0, e0)], [])
+            _basis_of_tuples(2, IntMatrix.identity(2), _SpansAnything(), [(e0, e0)], [])
 
     @pytest.mark.parametrize(
         "vector, message",
@@ -460,13 +471,13 @@ class TestInvariantBasisVerify:
             ({4: 1}, "index outside the ambient space"),
             ({-1: 1}, "index outside the ambient space"),
             ({3: 0}, "or a zero"),
-            ((0, 0, 0, 1, 0), "basis vector outside the ambient space"),
         ],
-        ids=["index-4", "index-minus-1", "stored-zero", "dense-of-length-5"],
+        ids=["index-4", "index-minus-1", "stored-zero"],
     )
     def test_vector_outside_the_ambient_space(self, vector, message):
+        e0, e1, e2 = (_sparse(v) for v in (self.E0, self.E1, self.E2))
         with pytest.raises(InternalInvariantError, match=message):
-            self.make([(self.E0, self.E1, self.E2)], [vector])
+            InvariantBasis(3, self.ACTION, Lattice.full(4), [(e0, e1, e2)], [vector])
 
 
 def _bases_of_the_pool_and_the_session():
@@ -479,11 +490,10 @@ def _bases_of_the_pool_and_the_session():
 
 class TestSparseColumns:
     """Split bases are held as sparse columns; the dense accessors are built
-    from them on first read."""
+    from them on each read."""
 
     def test_dense_accessors_equal_the_tuples_of_the_basis_matrix(self):
         for b in _bases_of_the_pool_and_the_session():
-            assert b._orbit_blocks is None and b._fixed_vectors is None  # none built yet
             # the tuples as IntMatrix.columns() builds them
             dense = b.matrix().columns()
             f = len(b.fixed_columns)
@@ -491,9 +501,8 @@ class TestSparseColumns:
             assert b.fixed_vectors == tuple(dense[:f])
             blocks = tuple(tuple(dense[i : i + b.p]) for i in range(f, len(dense), b.p))
             assert b.orbit_blocks == blocks
-            assert b.orbit_blocks is b.orbit_blocks and b.fixed_vectors is b.fixed_vectors
             # and the dense tuples go back to the same columns
-            again = InvariantBasis(b.p, b.action, b.ambient, b.orbit_blocks, b.fixed_vectors)
+            again = _basis_of_tuples(b.p, b.action, b.ambient, b.orbit_blocks, b.fixed_vectors)
             assert again.columns() == b.columns()
 
 
@@ -508,33 +517,6 @@ def test_the_58th_draw_keeps_its_pinned_basis():
     digest = hashlib.sha256(repr((b.orbit_blocks, b.fixed_vectors)).encode()).hexdigest()
     assert (p, m.order(), k) == (3, 64, 3)
     assert digest == "32a40b09d44c9f54977cc0b5d572833916e8325a911f79c6f09cf04f2689de1d"
-
-
-class TestFreeWindow:
-    def test_basic_window(self):
-        window, mat = free_r_xi_window(2, [(1, 1), (2, 1), (1, 2)])
-        assert window[:2] == [(1, 0), (0, 1)]
-        assert mat.col(0) == (-1, -1, 1, 0, 0)
-
-    def test_equivariance_on_closed_window(self):
-        window, mat = free_r_xi_window(2, [(2, 1), (1, 2)])
-        pos = {x: i for i, x in enumerate(window)}
-        # the shift swaps the two generators and swaps (2,1) <-> (1,2)
-        perm = {0: 1, 1: 0, 2: 3, 3: 2}
-        shifted = tuple(mat.col(0)[perm[i]] for i in range(len(window)))
-        # xi columns follow the xs order: column of (1,2) sits after the generators
-        assert shifted == mat.col(pos[(1, 2)] - 2)
-
-    def test_rejects_generators_and_duplicates(self):
-        with pytest.raises(PreconditionError):
-            free_r_xi_window(2, [(1, 0)])
-        with pytest.raises(PreconditionError):
-            free_r_xi_window(2, [(1, 1), (1, 1)])
-
-    def test_empty_window(self):
-        window, mat = free_r_xi_window(3, [])
-        assert len(window) == 3
-        assert mat.cols == 0
 
 
 class TestAssemble:
@@ -587,6 +569,21 @@ class TestAssemble:
         b2 = cyclic_trivial_basis(3, 2)
         with pytest.raises(PreconditionError):
             assemble_direct_sum(p1, p2, b2, b2)
+
+    @pytest.mark.parametrize(
+        "fixed, message",
+        [
+            ([{1: 2}, {0: 1}], "first fixed vector must be the zero-hat vector"),
+            ([{0: 1}, {0: 1, 1: 2}], "basis vectors other than zero-hat must avoid it"),
+        ],
+        ids=["zero-hat-not-first", "zero-hat-in-another-vector"],
+    )
+    def test_assembly_convention_is_refused(self, fixed, message):
+        # triv(2) at p = 2: 0-hat is index 0, and the kernel is spanned by (1, 0) and (0, 2)
+        pres = build_aug(build(TrivCyclic(2), 2))
+        basis = InvariantBasis(2, pres.action, pres.N, [], fixed)
+        with pytest.raises(PreconditionError, match=message):
+            assemble_direct_sum(pres, pres, basis, cyclic_trivial_basis(2, 2))
 
 
 def _fold_leaf_basis(leaf, p: int) -> InvariantBasis:
@@ -753,7 +750,7 @@ class TestStabilize:
     def test_wrong_kernel_is_not_exact(self, monkeypatch, vectors):
         # triv(2) is presented by pi = [0 1], whose kernel is spanned by
         # (1, 0) and (0, 2); each planted basis breaks one exactness condition
-        wrong = InvariantBasis(2, IntMatrix.identity(2), Lattice.spanned_by(vectors, 2), [], vectors)
+        wrong = _basis_of_tuples(2, IntMatrix.identity(2), Lattice.spanned_by(vectors, 2), [], vectors)
         monkeypatch.setattr(cyclat.presentation, "find_invariant_basis", lambda *a, **kw: (0, wrong))
         with pytest.raises(InternalInvariantError, match="stabilized row is not exact"):
             stabilize_presentation(build_aug(build(TrivCyclic(2), 2)))
