@@ -285,6 +285,13 @@ class TestEquivariantLattice:
         assert pres.kernel_pair() is pres.kernel_pair()
         assert pres.kernel_pair().provenance is pres.M
 
+    def test_stabilized_is_built_once_per_depth(self):
+        eq = EquivariantLattice(2, Lattice.full(2), SWAP)
+        assert eq.stabilized(0) is eq
+        assert eq.stabilized(1) is eq.stabilized(1)
+        assert eq.stabilized(2) is not eq.stabilized(1)
+        assert [eq.stabilized(k).rank for k in (1, 2)] == [4, 6]
+
 
 class TestTrivialBasis:
     def test_z2(self):

@@ -17,6 +17,7 @@ from cyclat.zmod import (
     TrivCyclic,
     TrivFree,
     build,
+    cycles,
     direct_sum,
     parse_modspec,
     random_module,
@@ -240,6 +241,12 @@ class TestElements:
 
 
 class TestOrbits:
+    def test_cycles_start_at_their_first_item_in_the_given_order(self):
+        nxt = {"a": "c", "b": "b", "c": "d", "d": "a"}
+        assert cycles(nxt, ["d", "b", "a", "c"]) == [("d", "a", "c"), ("b",)]
+        assert cycles(nxt, "abcd") == [("a", "c", "d"), ("b",)]
+        assert cycles(nxt, []) == []
+
     def test_mult_by_4_on_z5(self):
         m = mult_by(2, 5, 4)
         assert m.orbits() == [[(0,)], [(1,), (4,)], [(2,), (3,)]]
