@@ -210,9 +210,10 @@ class EquivariantLattice:
 class AugPresentation:
     """The row 0 -> N -> Z^M -> M -> 0 in explicit coordinates.
 
-    elements fixes the basis order of Z^M; pi_matrix has the element
-    representatives as columns; kernel is N with the action that permutes
-    the basis the way the automorphism permutes M.
+    elements fixes the basis order of Z^M: FinMod.enumerate's, which lists
+    zero first, so 0-hat is index 0 wherever a column indexes Z^M.
+    pi_matrix has the element representatives as columns; kernel is N with
+    the action that permutes the basis the way the automorphism permutes M.
     """
 
     __slots__ = ("M", "elements", "pi_matrix", "kernel", "N", "action")
@@ -234,10 +235,6 @@ class AugPresentation:
 
     def hat(self, x: Sequence[int]) -> tuple[int, ...]:
         return _unit(self.size, self.index(x))
-
-    @property
-    def zero_index(self) -> int:
-        return self.index((0,) * self.M.r)
 
     def combination(self, terms) -> tuple[int, ...]:
         """The vector sum c x-hat over the pairs (x, c) in terms; x any vector of M."""
@@ -398,13 +395,12 @@ class InvariantBasis:
         return f"{len(self.orbit_columns)} free orbit(s) + {len(self.fixed_columns)} fixed"
 
 
-def _check_assembly_convention(basis: InvariantBasis, pres: AugPresentation) -> None:
+def _check_assembly_convention(basis: InvariantBasis) -> None:
     # assembly needs the zero-hat vector isolated: first fixed vector is
     # exactly 0-hat, every other basis vector has zero 0-hat coefficient
-    zi = pres.zero_index
-    if not basis.fixed_columns or basis.fixed_columns[0] != {zi: 1}:
+    if not basis.fixed_columns or basis.fixed_columns[0] != {0: 1}:
         raise PreconditionError("first fixed vector must be the zero-hat vector")
-    if any(zi in c for c in basis.columns()[1:]):
+    if any(0 in c for c in basis.columns()[1:]):
         raise PreconditionError("basis vectors other than zero-hat must avoid it")
 
 
@@ -480,8 +476,8 @@ def assemble_direct_sum(
         raise PreconditionError("summands live over different group orders")
     if b1.ambient != p1.N or b2.ambient != p2.N:
         raise PreconditionError("basis does not present the matching kernel")
-    _check_assembly_convention(b1, p1)
-    _check_assembly_convention(b2, p2)
+    _check_assembly_convention(b1)
+    _check_assembly_convention(b2)
 
     psum = build_aug(direct_sum(p1.M, p2.M))
     msum = psum.M
@@ -492,7 +488,7 @@ def assemble_direct_sum(
     def embed(e, col):
         return {e[i]: x for i, x in col.items()}
 
-    fixed = [{psum.zero_index: 1}]
+    fixed = [{0: 1}]
     fixed += [embed(e1, c) for c in b1.fixed_columns[1:]]
     fixed += [embed(e2, c) for c in b2.fixed_columns[1:]]
     blocks = [tuple(embed(e1, c) for c in blk) for blk in b1.orbit_columns]
@@ -521,7 +517,7 @@ def _constructive_basis(eq: EquivariantLattice) -> Optional[InvariantBasis]:
     if any(order == 0 for _, _, order, _ in table) or M.rel.basis != rel or M.aut != aut:
         return None
     orbits = M.orbits()
-    fixed, blocks, s = [{M.index_of((0,) * M.r): 1}], [], 0
+    fixed, blocks, s = [{0: 1}], [], 0
     for _, width, order, _ in table:
         more_fixed, more_blocks = _leaf_vectors(M, orbits, s, s + width, order)
         cross_fixed, cross_blocks = _cross_vectors(M, orbits, s, s + width)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
@@ -91,62 +91,29 @@ class DirectSum:
         return " + ".join(str(p) for p in self.parts)
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([+(),])|(\S))")
+# One summand: a keyword and one or two integers in parentheses, spaced freely.
+_SUMMAND = re.compile(r"\s*([A-Za-z]+)\s*\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)\s*")
+_LEAVES = {"triv": TrivCyclic, "trivfree": TrivFree, "cyclicR": CyclicR, "freeR": FreeR}
 
 
 def parse_modspec(text: str):
     """Parse the textual shape grammar: triv(n), trivfree(r), cyclicR(q,k),
-    freeR(r), joined by infix '+'."""
-    tokens: list[str] = []
-    for m in _TOKEN.finditer(text):
-        if m.group(4):
-            raise ParseError(f"bad character {m.group(4)!r} in module spec")
-        tokens.append(m.group(1) or m.group(2) or m.group(3))
-    pos = 0
-
-    def peek() -> Optional[str]:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expect: Optional[str] = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of module spec")
-        tok = tokens[pos]
-        if expect is not None and tok != expect:
-            raise ParseError(f"expected {expect!r}, got {tok!r}")
-        pos += 1
-        return tok
-
-    def int_arg() -> int:
-        tok = take()
-        if not tok.isdigit():
-            raise ParseError(f"expected an integer, got {tok!r}")
-        return int(tok)
-
-    def leaf():
-        name = take()
-        take("(")
-        first = int_arg()
-        if name == "cyclicR":
-            take(",")
-            second = int_arg()
-            take(")")
-            return CyclicR(first, second)
-        take(")")
-        if name == "triv":
-            return TrivCyclic(first)
-        if name == "trivfree":
-            return TrivFree(first)
-        if name == "freeR":
-            return FreeR(first)
-        raise ParseError(f"unknown shape keyword {name!r}")
-
-    parts = [leaf()]
-    while peek() == "+":
-        take("+")
-        parts.append(leaf())
-    if pos != len(tokens):
-        raise ParseError(f"trailing junk in module spec: {tokens[pos:]}")
+    freeR(r), joined by infix '+'.  Each summand matches whole; its leaf
+    type's field count is its number of integers."""
+    parts = []
+    for summand in text.split("+"):
+        m = _SUMMAND.fullmatch(summand)
+        if m is None:
+            if not summand.strip():
+                raise ParseError("empty summand in module spec")
+            raise ParseError(f"malformed summand {summand.strip()!r} in module spec")
+        name, *args = (g for g in m.groups() if g is not None)
+        leaf = _LEAVES.get(name)
+        if leaf is None:
+            raise ParseError(f"unknown shape keyword {name!r}")
+        if len(fields(leaf)) != len(args):
+            raise ParseError(f"{name} takes {len(fields(leaf))} integer(s), got {len(args)}")
+        parts.append(leaf(*map(int, args)))
     return parts[0] if len(parts) == 1 else DirectSum(tuple(parts))
 
 

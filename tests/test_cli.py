@@ -9,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cyclat
 from cyclat.cli import main
@@ -167,6 +169,27 @@ def test_module_build_text(capsys):
 def test_module_build_bad_grammar(capsys):
     rc, _, err = run_cli(capsys, "module", "build", "cyclic(2,1)", "--p", "2")
     assert rc == 64
+
+
+_FUZZ_LEAF = st.builds(
+    lambda kw, args: f"{kw}({','.join(map(str, args))})",
+    st.sampled_from(["triv", "trivfree", "cyclicR", "freeR"]),
+    st.lists(st.integers(0, 12), min_size=1, max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from(["build", "check-noncyc"]),
+    st.lists(_FUZZ_LEAF, min_size=1, max_size=3).map(" + ".join),
+    st.sampled_from(["2", "3", "5"]),
+)
+def test_module_spec_fuzz_exits_with_a_documented_code(monkeypatch, capsys, action, spec, p):
+    # a low listing bound keeps every case small; above it the refusal is the real one
+    monkeypatch.setattr(cyclat.zmod, "MAX_ENUMERATION", 1024)
+    rc, _, err = run_cli(capsys, "module", action, spec, "--p", p)
+    assert rc in (0, 1, 64, 65, 75), (spec, rc, err)
+    assert "unexpected error" not in err
 
 
 def test_module_present(capsys):
@@ -382,6 +405,22 @@ def test_inclusion_gens_wrong_length(capsys):
     assert "length" in err
 
 
+def test_inclusion_gens_with_no_vector_is_usage_error(capsys):
+    rc, _, err = run_cli(
+        capsys, "inclusion", "check", "cyclicR(2,1)", "--sub", "gens", "--gens", ";", "--p", "2"
+    )
+    assert rc == 64
+    assert "--gens needs at least one vector" in err
+
+
+def test_inclusion_gens_skips_empty_parts(capsys):
+    rc, out, _ = run_cli(
+        capsys, "inclusion", "check", "cyclicR(2,1)", "--sub", "gens", "--gens", "1,0;;0,1", "--p", "2"
+    )
+    assert rc == 0
+    assert "submodule: gens (index 4 of 4)" in out
+
+
 def test_inclusion_witness_golden(capsys):
     rc, out, _ = run_cli(
         capsys, "inclusion", "witness", "cyclicR(2,2)", "--sub", "t", "--p", "2"
@@ -450,6 +489,12 @@ def test_graph_ktheory_text_headline(capsys):
     assert "K = (0, Z^3)" in out
 
 
+def test_graph_ktheory_free_rank_one_headline(capsys):
+    rc, out, _ = run_cli(capsys, "graph", "ktheory", "--strand", "1")
+    assert rc == 0
+    assert "K = (0, Z)" in out
+
+
 def test_graph_ktheory_structured_golden(capsys):
     rc, out, _ = run_cli(
         capsys, "graph", "ktheory", "--strand", "4", "--p", "3", "--format", "structured"
@@ -514,6 +559,24 @@ def test_graph_unknown_kind(tmp_path, capsys):
     bad.write_text(json.dumps({"kind": "mystery"}), encoding="utf-8")
     rc, _, err = run_cli(capsys, "graph", "build", "--file", str(bad))
     assert rc == 64
+
+
+def test_graph_file_missing(tmp_path, capsys):
+    rc, _, err = run_cli(capsys, "graph", "ktheory", "--file", str(tmp_path / "absent.json"))
+    assert rc == 64
+    assert "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [([1, 2], "graph description must be a JSON object"), ({"kind": "strand"}, "bad strand description")],
+)
+def test_graph_file_malformed_description(tmp_path, capsys, data, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    rc, _, err = run_cli(capsys, "graph", "ktheory", "--file", str(bad))
+    assert rc == 64
+    assert message in err
 
 
 def test_graph_missing_field_is_usage_error(tmp_path, capsys):

@@ -221,6 +221,10 @@ class TestProjection:
         with pytest.raises(PreconditionError, match="inside the lattice"):
             find_equivariant_projection(Lattice.spanned_by([(1, 0)], 2), eq)
 
+    def test_zero_summand_projects_by_zero(self):
+        eq = EquivariantLattice(2, Lattice.full(2), self.SWAP)
+        assert find_equivariant_projection(Lattice(2), eq) == IntMatrix.zeros(2, 2)
+
     def test_summand_not_action_invariant(self):
         eq = EquivariantLattice(2, Lattice.full(2), self.SWAP)
         with pytest.raises(PreconditionError, match="not action-invariant"):

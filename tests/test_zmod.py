@@ -50,11 +50,54 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "triv", "triv(2", "triv(x)", "shrug(3)", "triv(2) +", "triv(2) junk", "triv(-2)"],
+        [
+            "", "triv", "triv(2", "triv(x)", "shrug(3)", "triv(2) +", "triv(2) junk", "triv(-2)",
+            "triv(2,3)", "cyclicR(2)", "triv()", "triv(2)++triv(3)", "+triv(2)",
+        ],
     )
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_modspec(bad)
+
+
+_SPACE = st.text(alphabet=" \t\n", max_size=2)
+_LEAF = st.one_of(
+    st.builds(TrivCyclic, st.integers(0, 99)),
+    st.builds(TrivFree, st.integers(0, 99)),
+    st.builds(CyclicR, st.integers(0, 99), st.integers(0, 99)),
+    st.builds(FreeR, st.integers(0, 99)),
+)
+_KEYWORDS = {TrivCyclic: "triv", TrivFree: "trivfree", CyclicR: "cyclicR", FreeR: "freeR"}
+
+
+@st.composite
+def spaced_specs(draw):
+    """A shape of one to four leaves, and its text with random whitespace around every token."""
+    leaves = draw(st.lists(_LEAF, min_size=1, max_size=4))
+    summands = []
+    for leaf in leaves:
+        args = [str(v) for v in vars(leaf).values()]
+        tokens = [_KEYWORDS[type(leaf)], "(", *" , ".join(args).split(), ")"]
+        summands.append("".join(draw(_SPACE) + t for t in tokens) + draw(_SPACE))
+    shape = leaves[0] if len(leaves) == 1 else DirectSum(tuple(leaves))
+    return shape, "+".join(summands)
+
+
+class TestGrammar:
+    @settings(max_examples=200, deadline=None)
+    @given(spaced_specs())
+    def test_spaced_spec_parses_to_its_shape_and_back(self, case):
+        shape, text = case
+        assert parse_modspec(text) == shape
+        assert parse_modspec(str(shape)) == shape
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="trivfeRcyl()+,-0123456789 \t٣", max_size=30))
+    def test_any_string_parses_or_is_refused(self, text):
+        try:
+            parse_modspec(text)
+        except ParseError:
+            pass
 
 
 class TestBuild:
