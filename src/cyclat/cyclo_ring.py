@@ -54,6 +54,14 @@ class RingElt:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @classmethod
+    def _wrap(cls, p: int, coeffs: tuple[int, ...]) -> "RingElt":
+        """An element of p plain ints from operands already built: no prime check, no fold."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "p", p)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("RingElt is immutable")
 
@@ -63,28 +71,28 @@ class RingElt:
 
     def __add__(self, other: "RingElt") -> "RingElt":
         self._same_ring(other)
-        return RingElt(self.p, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return RingElt._wrap(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "RingElt") -> "RingElt":
         self._same_ring(other)
-        return RingElt(self.p, (a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return RingElt._wrap(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "RingElt":
-        return RingElt(self.p, (-a for a in self.coeffs))
+        return RingElt._wrap(self.p, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return RingElt(self.p, (other * a for a in self.coeffs))
+            return RingElt._wrap(self.p, tuple(other * a for a in self.coeffs))
         if not isinstance(other, RingElt):
             return NotImplemented
         self._same_ring(other)
-        out = [0] * self.p
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        out = [0] * (2 * self.p)  # exponents up to 2p - 2, folded mod p once at the end
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[(i + j) % self.p] += a * b
-        return RingElt(self.p, out)
+                for j, b in terms:
+                    out[i + j] += a * b
+        return RingElt._wrap(self.p, tuple(x + y for x, y in zip(out, out[self.p :])))
 
     def __rmul__(self, other):
         if isinstance(other, int):

@@ -45,9 +45,9 @@ Conventions that the rest of the package leans on:
   canonical shape in one pass and runs no elimination; its caller certifies
   that the basis spans the right lattice (the presentation kernels: by
   containment plus index).
-* ``is_unimodular`` decides |det| = 1 by peeling rows with one nonzero entry
-  and one Hermite elimination of the rest; a lattice's basis change is
-  checked with it rather than by a second elimination of the new basis.
+* ``abs_det`` peels rows with one nonzero entry and runs one Hermite
+  elimination of the rest.  Basis changes and spanning sets are checked by
+  |det| (1, or a known index) rather than by eliminating the new basis.
 """
 
 from __future__ import annotations
@@ -296,7 +296,10 @@ class IntMatrix:
         for row in self._ent:
             acc = {}
             for k, a in row.items():
-                _addmul(acc, brows[k], a)
+                if acc:
+                    _addmul(acc, brows[k], a)
+                else:  # the first term (or all cancelled so far): a scaled copy
+                    acc = dict(brows[k]) if a == 1 else {j: a * x for j, x in brows[k].items()}
             yield acc
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
@@ -482,51 +485,40 @@ def column_rank(a: IntMatrix) -> int:
     return len(_hermite_columns(list(a.transpose()._ent), a.rows))
 
 
-def _unit_pivots(cols: list[dict[int, int]], m: int) -> bool:
-    """Whether the columns {row < m: entry} span Z^m: their Hermite form, made in place,
-    has m pivots, all 1."""
-    return len(_hermite_columns(cols, m)) == m and all(cols[i][i] == 1 for i in range(m))
+def abs_det(a: IntMatrix) -> int:
+    """|det a| for a square a (PreconditionError otherwise).
 
-
-def is_unimodular(a: IntMatrix) -> bool:
-    """Whether a is square with determinant +-1.
-
-    Rows with a single nonzero entry are peeled first, as in structured
-    Gaussian elimination: expanding the determinant along such a row leaves
-    that entry, which must be +-1, times the minor without its row and
-    column, and removing the column may leave more such rows.  One Hermite
-    elimination of what remains must then give unit pivots only.
+    Rows with one nonzero entry are peeled first, as in structured Gaussian
+    elimination: expanding along such a row leaves |entry| times the minor
+    without its row and column, which may leave more such rows.  One Hermite
+    elimination of the rest gives the product of its pivots, or 0 when it
+    has fewer pivots than rows.
     """
     n = a.rows
     if a.cols != n:
-        return False
+        raise PreconditionError("determinant of a non-square matrix")
     rows: list = list(a._ent)  # None once peeled; a row is copied before its first change
     copied = [False] * n
-    in_col = [0] * n  # the rows holding each column, as a bit mask: bit i for row i
+    in_col: list[list[int]] = [[] for _ in range(n)]  # the rows holding each column
     single = []
     for i, row in enumerate(rows):
         if len(row) == 1:
             single.append(i)
         for j in row:
-            in_col[j] |= 1 << i
-    left = n
+            in_col[j].append(i)
+    out, left = 1, n
     while single:
         i = single.pop()
         row = rows[i]
         if row is None:
             continue
         if not row:
-            return False  # emptied by the peels: the determinant is 0
+            return 0  # emptied by the peels
         ((j, x),) = row.items()
-        if x != 1 and x != -1:
-            return False
+        out *= abs(x)
         rows[i] = None
         left -= 1
-        others = in_col[j]
-        while others:
-            low = others & -others
-            others ^= low
-            k = low.bit_length() - 1
+        for k in in_col[j]:
             rest = rows[k]
             if rest is not None and j in rest:
                 if not copied[k]:
@@ -543,7 +535,14 @@ def is_unimodular(a: IntMatrix) -> bool:
                 pos[j] = len(cols)
                 cols.append({})
             cols[pos[j]][k] = x
-    return len(cols) == left and _unit_pivots(cols, left)
+    if len(cols) != left or len(_hermite_columns(cols, left)) != left:
+        return 0
+    return out * math.prod(cols[i][i] for i in range(left))
+
+
+def is_unimodular(a: IntMatrix) -> bool:
+    """Whether a is square with determinant +-1."""
+    return a.is_square() and abs_det(a) == 1
 
 
 # -- Smith form ----------------------------------------------------------------

@@ -48,7 +48,8 @@ class InclusionPair:
         self.embed_matrix = IntMatrix.unit_columns(m, self.embed_index)
         self.N = self.pres.N
         self.N0 = Lattice(m, self.embed_matrix @ self.pres0.N.basis)
-        if not self.N.contains(self.N0):
+        # N is certified as all of {w : pi w in M.rel}, so N0 lies in it when pi maps it into M.rel
+        if M.rel.solve(self.pres.pi_matrix @ self.N0.basis) is None:
             raise InternalInvariantError("small kernel must embed in the big kernel")
         self.t_m0 = Lattice(M.r, IntMatrix.hstack(M.twist_matrix @ sub.span.basis, M.rel.basis))
 

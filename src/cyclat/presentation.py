@@ -13,6 +13,9 @@ when a direct search needs the extra room.
 N's canonical Hermite basis is written in closed form, one walk over the
 elements from last to first (see _kernel_hermite), and certified by its
 shape, by containment and by its index |M| instead of by an elimination.
+N is then all of {w : pi w in M.rel}, pi the r x |M| matrix of M's elements,
+so the rest of the row is certified by solves in M's own Z^r, never in
+Z^|M|: see _certify_action for the action and _spans for a split basis.
 
 A lattice with a verified free-plus-fixed basis is noncyclotomic, so the
 verdict takes three routes in turn.  Shape: for a direct sum of Z/n and
@@ -44,8 +47,8 @@ from .errors import (
     SearchExhausted,
 )
 from .intlinalg import IntMatrix, Lattice, kernel_basis, snf, solve_columns
-from .intlinalg import _hermite_columns, _unit_pivots, is_unimodular
-from .zmod import CyclicR, FinMod, FreeR, TrivCyclic, _layout, build, direct_sum
+from .intlinalg import _hermite_columns, abs_det, is_unimodular
+from .zmod import CyclicR, FinMod, FreeR, TrivCyclic, _layout, build, cycles, direct_sum
 
 GREEDY_ATTEMPTS = 6
 DEFAULT_K_MAX = 4
@@ -98,53 +101,54 @@ def _regular_blocks(p: int, k: int, action: IntMatrix, basis: IntMatrix):
     return grown, span, orbits
 
 
-def _split_with_regular_blocks(p: int, k: int, action: IntMatrix, basis: IntMatrix, blocks, fixed):
-    """The split basis (blocks, fixed) of a lattice, extended to the lattice plus k regular blocks."""
-    grown, span, regular = _regular_blocks(p, k, action, basis)
-    return InvariantBasis(p, grown, span, list(blocks) + regular, fixed)
-
-
 class EquivariantLattice:
     """A sublattice of Z^n kept stable by an ambient action of order p.
 
-    `provenance` optionally records the finite module whose presentation
-    kernel this is; when it has a shape, the constructive split basis
-    settles noncyclotomy and is kept for the basis search, without
-    presenting the module again.  An identity action is restricted to the
+    `presents` is (M, pi) from build_aug alone, which certifies the lattice
+    as M's presentation kernel {w : pi w in M.rel} and the action as keeping
+    it; its restricted action is solved on first read, and when M has a
+    shape, the constructive split basis settles noncyclotomy and is kept for
+    the basis search.  Any other lattice has its action's order and
+    invariance checked here.  An identity action is restricted to the
     identity without a power or a solve.
     """
 
-    __slots__ = ("p", "lattice", "action", "provenance", "_restricted", "_witness", "_basis", "_stabilized")
+    __slots__ = ("p", "lattice", "action", "presents", "_restricted", "_witness", "_basis", "_stabilized")
 
-    def __init__(self, p: int, lattice: Lattice, action: IntMatrix, provenance=None):
+    def __init__(self, p: int, lattice: Lattice, action: IntMatrix, presents=None):
         n = lattice.ambient
         if action.rows != n or action.cols != n:
             raise PreconditionError("action must be square on the ambient space")
-        one = IntMatrix.identity(n)
-        if action == one:
-            restricted = IntMatrix.identity(lattice.rank)
-        else:
-            if action.pow(p) != one:
-                raise PreconditionError("action order must divide p")
-            # with action^p = 1, mapping the lattice into itself maps it onto itself
-            restricted = lattice.solve(action @ lattice.basis)
-            if restricted is None:
-                raise PreconditionError("lattice is not action-invariant")
         self.p = p
         self.lattice = lattice
         self.action = action
-        self.provenance = provenance
-        self._restricted = restricted
+        self.presents = presents
+        self._restricted = None
         self._witness = _UNDECIDED
         self._basis = None
         self._stabilized = {}
+        if presents is None:
+            one = IntMatrix.identity(n)
+            if action != one and action.pow(p) != one:
+                raise PreconditionError("action order must divide p")
+            # with action^p = 1, mapping the lattice into itself maps it onto itself
+            self.restricted()
 
     @property
     def rank(self) -> int:
         return self.lattice.rank
 
     def restricted(self) -> IntMatrix:
-        """The action written in the lattice's own basis."""
+        """The action written in the lattice's own basis, solved on first read for a presentation
+        kernel; build_aug certified that action, so a failed solve there is an internal fault."""
+        if self._restricted is None:
+            if self.action == IntMatrix.identity(self.action.rows):
+                self._restricted = IntMatrix.identity(self.rank)
+            else:
+                self._restricted = self.lattice.solve(self.action @ self.lattice.basis)
+            if self._restricted is None:
+                fault = PreconditionError if self.presents is None else InternalInvariantError
+                raise fault("lattice is not action-invariant")
         return self._restricted
 
     def is_noncyclotomic(self) -> bool:
@@ -166,7 +170,7 @@ class EquivariantLattice:
         image (Diederichsen-Reiner; Curtis-Reiner, Methods I, section 34),
         so three routes are tried in turn:
 
-        * shape: when the provenance's shape gives the constructive basis;
+        * shape: when the presented module's shape gives the constructive basis;
         * trivial action: when the action restricted to the lattice is the
           identity, the canonical basis taken as fixed vectors, which is
           what the greedy search would return for any seed;
@@ -177,11 +181,11 @@ class EquivariantLattice:
         find_invariant_basis.
         """
         if self._witness is _UNDECIDED:
-            if self.provenance is not None:
+            if self.presents is not None:
                 self._basis = _constructive_basis(self)
-            if self._basis is None and self._restricted == IntMatrix.identity(self.rank):
+            if self._basis is None and self.restricted() == IntMatrix.identity(self.rank):
                 fixed = self.lattice.basis.transpose()._ent
-                self._basis = InvariantBasis(self.p, self.action, self.lattice, [], fixed)
+                self._basis = InvariantBasis(self.p, self.action, self.lattice, [], fixed, self.presents)
             self._witness = None if self._basis is not None else self._search_witness()
         return self._witness
 
@@ -280,6 +284,24 @@ def _kernel_hermite(M: FinMod, elements) -> IntMatrix:
     return IntMatrix._wrap(rows, m, m)
 
 
+def _certify_action(M: FinMod, pi: IntMatrix, perm: Sequence[int]) -> IntMatrix:
+    """The permutation matrix P of M's element permutation, certified to keep the kernel
+    K = {w : pi w in M.rel} with order dividing p, by checks in Z^r only.
+
+    perm is a permutation whose cycles have length 1 or p, so P^p = 1; and
+    M.rel holds the columns of pi P - aut pi.  For w in K, pi P w is then
+    aut pi w plus a vector of M.rel, and aut maps M.rel into itself (FinMod
+    checks it), so P w lies in K: P maps K into K, and onto it as P^p = 1.
+    """
+    m = pi.cols
+    if sorted(perm) != list(range(m)) or any(len(c) not in (1, M.p) for c in cycles(perm, range(m))):
+        raise InternalInvariantError("element permutation has a cycle of length other than 1 or p")
+    action = IntMatrix.unit_columns(m, perm)
+    if M.rel.solve(pi @ action - M.aut @ pi) is None:
+        raise InternalInvariantError("element permutation does not follow the automorphism")
+    return action
+
+
 def _certify_kernel(M: FinMod, pi: IntMatrix, kernel: Lattice, what: str) -> None:
     """Certify kernel as all of {w : pi w in M.rel}, for a pi onto M: full rank, inside it, and
     index |M|, which is that kernel's own index (Cohen, GTM 138, section 2.4)."""
@@ -297,20 +319,17 @@ def build_aug(M: FinMod) -> AugPresentation:
     The kernel's canonical basis H comes from _kernel_hermite; Lattice._from_hermite
     checks its Hermite shape in one pass, and _certify_kernel certifies it as the
     whole kernel (full rank, pi H in the relations, index |M|) before use.
+    _certify_action certifies the action, so EquivariantLattice checks nothing in Z^|M|.
     """
     if not M.is_finite():
         raise PreconditionError(UNPRESENTABLE)
     elements = tuple(M.enumerate())
     pi = IntMatrix.from_cols(elements, rows=M.r)
     m = len(elements)
-    action = IntMatrix.unit_columns(m, M.action_permutation())
+    action = _certify_action(M, pi, M.action_permutation())
     n = Lattice._from_hermite(m, _kernel_hermite(M, elements))
     _certify_kernel(M, pi, n, "presentation kernel basis")
-    try:
-        kernel = EquivariantLattice(M.p, n, action, provenance=M)
-    except PreconditionError as exc:
-        raise InternalInvariantError(f"presentation kernel rejected: {exc}") from exc
-    return AugPresentation(M, elements, pi, kernel)
+    return AugPresentation(M, elements, pi, EquivariantLattice(M.p, n, action, presents=(M, pi)))
 
 
 class InvariantBasis:
@@ -322,16 +341,20 @@ class InvariantBasis:
     reads the columns as they are, and orbit_blocks, fixed_vectors and
     vectors() build the dense tuples on each read.  Every constructor in
     this module verifies the split before handing the object out.
+
+    presents is (M, pi) when the ambient lattice is certified as {w : pi w in
+    M.rel}, with pi extended by zeros past the elements; see _spans.
     """
 
-    __slots__ = ("p", "action", "ambient", "orbit_columns", "fixed_columns")
+    __slots__ = ("p", "action", "ambient", "orbit_columns", "fixed_columns", "presents")
 
-    def __init__(self, p, action, ambient, orbit_columns, fixed_columns):
+    def __init__(self, p, action, ambient, orbit_columns, fixed_columns, presents=None):
         self.p = p
         self.action = action
         self.ambient = ambient
         self.orbit_columns = tuple(tuple(blk) for blk in orbit_columns)
         self.fixed_columns = tuple(fixed_columns)
+        self.presents = presents
         self.verify()
 
     @property
@@ -370,10 +393,7 @@ class InvariantBasis:
         if len(cols) != self.ambient.rank:
             raise InternalInvariantError("basis size differs from the lattice rank")
         mat = IntMatrix._wrap(cols, len(cols), n).transpose()
-        # rank-many vectors of the lattice span it when their coordinates
-        # in its basis form a matrix of determinant +-1
-        coords = self.ambient.solve(mat)
-        if coords is None or not is_unimodular(coords):
+        if not _spans(self.ambient, self.presents, mat):
             raise InternalInvariantError("vectors do not span the lattice")
         # one product moves every vector: each block vector must land on the
         # next one of its block, and each fixed vector must stay put
@@ -393,6 +413,20 @@ class InvariantBasis:
 
     def summary(self) -> str:
         return f"{len(self.orbit_columns)} free orbit(s) + {len(self.fixed_columns)} fixed"
+
+
+def _spans(lattice: Lattice, presents, mat: IntMatrix) -> bool:
+    """Whether the rank-many columns of mat span the lattice L, with presents as InvariantBasis's.
+
+    In general: their coordinates in L's basis have det +-1.  L = {w : pi w
+    in M.rel} has full rank and index |M|: they lie in L when pi maps them
+    into M.rel, and then span all of L exactly when |det mat| is |M|.
+    """
+    if presents is None:
+        coords = lattice.solve(mat)
+        return coords is not None and is_unimodular(coords)
+    M, pi = presents
+    return M.rel.solve(pi @ mat) is not None and abs_det(mat) == M.order()
 
 
 def _check_assembly_convention(basis: InvariantBasis) -> None:
@@ -494,13 +528,14 @@ def assemble_direct_sum(
     blocks = [tuple(embed(e1, c) for c in blk) for blk in b1.orbit_columns]
     blocks += [tuple(embed(e2, c) for c in blk) for blk in b2.orbit_columns]
     cross_fixed, cross_blocks = _cross_vectors(msum, msum.orbits(), r1, msum.r)
-    return InvariantBasis(msum.p, psum.action, psum.N, blocks + cross_blocks, fixed + cross_fixed)
+    blocks += cross_blocks
+    return InvariantBasis(msum.p, psum.action, psum.N, blocks, fixed + cross_fixed, psum.kernel.presents)
 
 
 def _constructive_basis(eq: EquivariantLattice) -> Optional[InvariantBasis]:
     """The split basis of a direct sum of Z/n and R/(q^k) leaves, or None.
 
-    Applies when eq presents its provenance M and M is the module
+    Applies when eq presents a module M (eq.presents) and M is the module
     build(M.shape, p) of such a sum: M's relations and action equal the
     layout build gives the leaf table of M.shape, and any other tag gives
     None.  One pass over M's element orbits gives the vectors of the left
@@ -509,7 +544,7 @@ def _constructive_basis(eq: EquivariantLattice) -> Optional[InvariantBasis]:
     coordinates [s, e) the table gives it, its own vectors and the cross
     vectors tying it to [0, s).  The vectors are built as sparse columns.
     """
-    M = eq.provenance
+    M = eq.presents[0]
     try:
         table, rel, aut = _layout(M.shape, M.p)
     except PreconditionError:
@@ -524,13 +559,13 @@ def _constructive_basis(eq: EquivariantLattice) -> Optional[InvariantBasis]:
         fixed += more_fixed + cross_fixed
         blocks += more_blocks + cross_blocks
         s += width
-    return InvariantBasis(eq.p, eq.action, eq.lattice, blocks, fixed)
+    return InvariantBasis(eq.p, eq.action, eq.lattice, blocks, fixed, eq.presents)
 
 
 def _spans_unit_lattice(rows: Sequence[dict[int, int]], p: int) -> bool:
     """Whether the vectors {j < p: entry} span Z^p: their Hermite form has p unit pivots."""
     cols = [dict(b) for b in rows if b]
-    return len(cols) >= p and _unit_pivots(cols, p)
+    return len(cols) >= p and len(_hermite_columns(cols, p)) == p and all(cols[i][i] == 1 for i in range(p))
 
 
 class _CandidatePool:
@@ -653,7 +688,7 @@ def _greedy_basis(
             orbits = IntMatrix.from_cols([v for blk in found[0] for v in blk], rows=r)
             amb = (eq.lattice.basis @ IntMatrix.hstack(orbits, fixed)).transpose()._ent
             blocks = [amb[i : i + eq.p] for i in range(0, n, eq.p)]
-            return InvariantBasis(eq.p, eq.action, eq.lattice, blocks, amb[n:]), attempt
+            return InvariantBasis(eq.p, eq.action, eq.lattice, blocks, amb[n:], eq.presents), attempt
         pool.drain()
     return None, GREEDY_ATTEMPTS
 
@@ -721,13 +756,14 @@ def stabilize_presentation(
     k, n1 = find_invariant_basis(
         aug.kernel_pair(), allow_stabilization=True, k_max=max(k_max, k_min), seed=seed
     )
+    pi_ext = IntMatrix.hstack(aug.pi_matrix, IntMatrix.zeros(M.r, max(k, k_min) * p))
     if k < k_min:
-        n1 = _split_with_regular_blocks(
-            p, k_min - k, n1.action, n1.ambient.basis, n1.orbit_columns, n1.fixed_columns
-        )
+        # N plus k regular blocks, grown to N plus k_min: all of {w : pi_ext w in M.rel}
+        grown, span, regular = _regular_blocks(p, k_min - k, n1.action, n1.ambient.basis)
+        n1 = InvariantBasis(p, grown, span, [*n1.orbit_columns, *regular], n1.fixed_columns, (M, pi_ext))
         k = k_min
     fixed, blocks = _split_orbits(M.orbits(), lambda x: {M.index_of(x): 1})
-    n2 = _split_with_regular_blocks(p, k, aug.action, IntMatrix.identity(aug.size), blocks, fixed)
-    pi_ext = IntMatrix.hstack(aug.pi_matrix, IntMatrix.zeros(M.r, k * p))
+    grown, span, regular = _regular_blocks(p, k, aug.action, IntMatrix.identity(aug.size))
+    n2 = InvariantBasis(p, grown, span, blocks + regular, fixed)
     _certify_kernel(M, pi_ext, n1.ambient, "stabilized row is not exact: N1")
     return StabilizedPresentation(M, k, n1, n2, pi_ext)

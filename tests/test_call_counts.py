@@ -214,12 +214,23 @@ def test_kernel_check_restricts_the_action_once(monkeypatch, capsys):
     eliminations = count_calls(monkeypatch, cyclat.intlinalg, "solve_columns")
     assert run_cli(capsys, "module", "check-noncyc", "cyclicR(2,2)", "--p", "2") == 0
     assert len(transforms) == 0
-    # the module's two relation checks in Z^2, the presentation kernel's
-    # certificate in Z^2, its one invariance check in Z^16, and the span
-    # check of the split basis that decides noncyclotomy in Z^16, each
-    # against a canonical basis
-    assert [args[0].ambient for args in solves] == [2, 2, 2, 16, 16]
+    # the module's two relation checks, the element permutation's certificate,
+    # the presentation kernel's certificate, and the containment half of the
+    # span check of the split basis that decides noncyclotomy: all in M's own
+    # Z^2, each against a canonical basis
+    assert [args[0].ambient for args in solves] == [2, 2, 2, 2, 2]
     assert len(eliminations) == 0
+
+
+def test_module_present_makes_no_check_in_the_element_lattice(monkeypatch, capsys):
+    # the 64-element presentation is certified in M's Z^6: no solve against a
+    # lattice in Z^64, and the element action's order is read off its cycles,
+    # so the one power is the module's own order check on its 6 x 6 aut
+    solves = count_calls(monkeypatch, Lattice, "solve")
+    powers = count_calls(monkeypatch, IntMatrix, "pow")
+    assert run_cli(capsys, "module", "present", "cyclicR(2,1)+triv(2)", "--p", "5") == 0
+    assert solves and all(args[0].ambient == 6 for args in solves)
+    assert [args[0].rows for args in powers] == [6]
 
 
 def test_graph_ktheory_reads_k1_off_the_smith_transform(monkeypatch, capsys):

@@ -24,7 +24,7 @@ from cyclat.intlinalg import (
     snf,
     solve_columns,
 )
-from cyclat.intlinalg import _certify_snf, _hnf_divmod, is_unimodular
+from cyclat.intlinalg import _certify_snf, _hnf_divmod, abs_det, is_unimodular
 from cyclat.ktheory import boundary_matrix
 from cyclat.presentation import build_aug
 from cyclat.zmod import build, parse_modspec, random_unimodular
@@ -1238,6 +1238,38 @@ class TestIsUnimodular:
     def test_non_square_and_empty(self):
         assert not is_unimodular(IntMatrix.identity(3).submatrix(range(3), range(2)))
         assert is_unimodular(IntMatrix.zeros(0, 0))
+
+
+def _seeded_square_matrices(seed: int):
+    """Square matrices of size 0-8 from random.Random(seed): sparse draws from
+    the peeling-friendly entries, unimodular ones with a row scaled or copied
+    over another (singular), and dense draws."""
+    rng = random.Random(seed)
+    for _ in range(30):
+        n = rng.randrange(9)
+        yield mat([[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(n)] for _ in range(n)])
+        if n:
+            rows = random_unimodular(rng, n).tolist()
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i] = [rng.choice([2, -3, 5]) * x for x in rows[i]] if i == j else list(rows[j])
+            yield mat(rows)
+            yield mat([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
+
+
+class TestAbsDet:
+    """The peel-then-Hermite |det| against the Bareiss det."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_bareiss(self, seed):
+        dets = []
+        for a in _seeded_square_matrices(seed):
+            dets.append(abs(det(a)))
+            assert abs_det(a) == dets[-1]
+        assert 0 in dets and 1 in dets and max(dets) > 1
+
+    def test_refuses_a_non_square_matrix(self):
+        with pytest.raises(PreconditionError, match="non-square"):
+            abs_det(IntMatrix.identity(3).submatrix(range(3), range(2)))
 
 
 class TestSnfCertificate:

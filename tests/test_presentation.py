@@ -16,7 +16,7 @@ from cyclat.errors import (
     PreconditionError,
     SearchExhausted,
 )
-from cyclat.intlinalg import IntMatrix, Lattice, inv_unimodular, snf
+from cyclat.intlinalg import IntMatrix, Lattice, abs_det, inv_unimodular, snf
 from cyclat.presentation import (
     GREEDY_ATTEMPTS,
     AugPresentation,
@@ -28,6 +28,7 @@ from cyclat.presentation import (
     _greedy_basis,
     _spans_unit_lattice,
     _split_orbits,
+    _spans,
     _unit,
     assemble_direct_sum,
     build_aug,
@@ -97,12 +98,19 @@ class TestBuildAug:
 
 
     def test_kernel_rejection_is_internal(self, monkeypatch):
-        def reject(self, *args, **kwargs):
-            raise PreconditionError("lattice is not action-invariant")
+        # triv(3) with its nonzero elements swapped: a 2-cycle, so of order
+        # p = 2, but pi P - aut pi has the column 1 - 2, outside 3Z
+        monkeypatch.setattr(FinMod, "action_permutation", lambda self: (0, 2, 1))
+        with pytest.raises(InternalInvariantError, match="does not follow the automorphism"):
+            build_aug(build(TrivCyclic(3), 2))
 
-        monkeypatch.setattr(EquivariantLattice, "__init__", reject)
-        with pytest.raises(InternalInvariantError):
-            build_aug(build(TrivCyclic(2), 2))
+    @pytest.mark.parametrize(
+        "perm", [(1, 2, 0), (0, 0, 1), (0, 1)], ids=["3-cycle", "not-a-permutation", "too-short"]
+    )
+    def test_an_element_permutation_of_the_wrong_order_is_internal(self, monkeypatch, perm):
+        monkeypatch.setattr(FinMod, "action_permutation", lambda self: perm)
+        with pytest.raises(InternalInvariantError, match="cycle of length other than 1 or p"):
+            build_aug(build(TrivCyclic(3), 2))
 
 
 # the module shapes the perfbench cli session presents
@@ -173,6 +181,64 @@ class TestClosedFormKernel:
         m = self.tampered(monkeypatch, lambda h: 2 * h)
         with pytest.raises(InternalInvariantError, match="wrong index"):
             build_aug(m)
+
+
+def _presented_span_cases(seed: int):
+    """Presentation kernels of seeded random modules of order <= 64 (shaped
+    builds and rebased ones), each with vector sets that span N, have one
+    vector doubled, one replaced by x-hat for some x != 0, or are random
+    combinations of N's basis."""
+    rng = random.Random(seed)
+    for _ in range(6):
+        pres = build_aug(random_module(rng, rng.choice([2, 3, 5]), max_order=64))
+        n, basis = pres.size, pres.N.basis
+        spanning = basis @ random_unimodular(rng, n)
+        cols = [dict(c) for c in spanning.transpose()._ent]
+        j = rng.randrange(n)
+        doubled = cols[:j] + [{i: 2 * x for i, x in cols[j].items()}] + cols[j + 1 :]
+        x_hat = cols[:j] + [{rng.randrange(1, n): 1}] + cols[j + 1 :]  # element 0 is zero
+        for vectors in (cols, doubled, x_hat):
+            yield pres, IntMatrix._wrap(vectors, n, n).transpose()
+        steps = [[rng.choice((-1, 0, 0, 1)) + (i == k) for k in range(n)] for i in range(n)]
+        yield pres, basis @ IntMatrix(steps)
+
+
+class TestPresentedSpan:
+    """A split basis of a presentation kernel N = {w : pi w in M.rel} is
+    certified in Z^r: containment through pi, and |det| = |M|."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_presented_verdict_is_the_generic_one(self, seed):
+        verdicts = []
+        for pres, mat in _presented_span_cases(seed):
+            generic = _spans(pres.N, None, mat)
+            assert _spans(pres.N, pres.kernel.presents, mat) == generic
+            verdicts.append(generic)
+        assert True in verdicts and False in verdicts
+
+    def constructive(self):
+        eq = build_aug(build(parse_modspec("cyclicR(2,1)+triv(3)"), 2)).kernel_pair()
+        basis = _constructive_basis(eq)
+        return eq, list(basis.orbit_columns), list(basis.fixed_columns)
+
+    def test_a_doubled_vector_raises(self):
+        # |det| of the vectors becomes 2 |M|
+        eq, blocks, fixed = self.constructive()
+        fixed[-1] = {i: 2 * x for i, x in fixed[-1].items()}
+        with pytest.raises(InternalInvariantError, match="vectors do not span the lattice"):
+            InvariantBasis(eq.p, eq.action, eq.lattice, blocks, fixed, eq.presents)
+
+    def test_a_vector_outside_the_kernel_raises(self):
+        # the last fixed vector, xi_x = x-hat minus hats of other elements,
+        # becomes x-hat: row x holds no other vector, so |det| stays |M| and
+        # only the containment test, pi x-hat = x not in M.rel, can see it
+        eq, blocks, fixed = self.constructive()
+        x = next(iter(fixed[-1]))
+        fixed[-1] = {x: 1}
+        cols = fixed + [c for blk in blocks for c in blk]
+        assert abs_det(IntMatrix._wrap(cols, len(cols), eq.rank).transpose()) == eq.lattice.index()
+        with pytest.raises(InternalInvariantError, match="vectors do not span the lattice"):
+            InvariantBasis(eq.p, eq.action, eq.lattice, blocks, fixed, eq.presents)
 
 
 class TestNoncyclotomicVerdict:
@@ -280,10 +346,18 @@ class TestEquivariantLattice:
                 basis = eq.lattice.basis
                 assert basis @ eq.restricted() == eq.action @ basis
 
+    def test_a_presented_lattice_solves_its_restriction_on_first_read(self):
+        # a lattice handed over as a presentation kernel is not checked when
+        # built; a restriction that does not solve is then an internal fault
+        pres = build_aug(build(TrivCyclic(2), 2))
+        eq = EquivariantLattice(2, Lattice.spanned_by([(1, 0)], 2), SWAP, presents=pres.kernel.presents)
+        with pytest.raises(InternalInvariantError, match="not action-invariant"):
+            eq.restricted()
+
     def test_kernel_pair_is_built_once(self):
         pres = build_aug(build(CyclicR(2, 1), 2))
         assert pres.kernel_pair() is pres.kernel_pair()
-        assert pres.kernel_pair().provenance is pres.M
+        assert pres.kernel_pair().presents == (pres.M, pres.pi_matrix)
 
     def test_stabilized_is_built_once_per_depth(self):
         eq = EquivariantLattice(2, Lattice.full(2), SWAP)
