@@ -71,18 +71,18 @@ class RingElt:
 
     def __add__(self, other: "RingElt") -> "RingElt":
         self._same_ring(other)
-        return RingElt._wrap(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return RingElt._wrap(self.p, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other: "RingElt") -> "RingElt":
         self._same_ring(other)
-        return RingElt._wrap(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return RingElt._wrap(self.p, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "RingElt":
-        return RingElt._wrap(self.p, tuple(-a for a in self.coeffs))
+        return RingElt._wrap(self.p, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return RingElt._wrap(self.p, tuple(other * a for a in self.coeffs))
+            return RingElt._wrap(self.p, tuple([other * a for a in self.coeffs]))
         if not isinstance(other, RingElt):
             return NotImplemented
         self._same_ring(other)
@@ -92,7 +92,7 @@ class RingElt:
             if a:
                 for j, b in terms:
                     out[i + j] += a * b
-        return RingElt._wrap(self.p, tuple(x + y for x, y in zip(out, out[self.p :])))
+        return RingElt._wrap(self.p, tuple([x + y for x, y in zip(out, out[self.p :])]))
 
     def __rmul__(self, other):
         if isinstance(other, int):

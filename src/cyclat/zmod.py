@@ -35,7 +35,7 @@ from .intlinalg import (
 )
 
 # Largest module order FinMod.enumerate lists; cost grows with it.  At the
-# bound, check-noncyc "cyclicR(2,8)" --p 2 takes about 2 s and 165 MB as a
+# bound, check-noncyc "cyclicR(2,8)" --p 2 takes about 2 s and 160 MB as a
 # process (2-vCPU machine, Python 3.11); CI holds it below 600 MB.
 MAX_ENUMERATION = 1 << 16
 
