@@ -31,6 +31,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -612,7 +613,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if "spec" in args:
             args.spec = _read_spec_arg(args.spec)  # read an @FILE once per run
         rep, code = _HANDLERS[args.group](args)
-        rep.emit()
+        try:
+            rep.emit()
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has closed stdout, which leaves the verdict as it is;
+            # stdout goes to devnull so that the flush at exit stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except ParseError as exc:
         sys.stderr.write(f"cyclat: usage error: {exc}\n")

@@ -17,6 +17,12 @@ identity so one column operation builds H and U together, while ``Lattice``
 and ``column_rank``, which read H alone, leave the identity out; ``hnf``'s U
 serves only ``solve_columns`` and ``inv_unimodular``.  Each costs in
 proportion to the nonzero entries it meets, not to the size of the matrix.
+Rows are never changed once a matrix holds them, so a product shares
+them: a row of A that is the single entry ``{k: 1}`` makes row k of B the
+product's row, not a copy of it, and a permutation or identity matrix P
+gives ``P @ B`` in one step per row.  ``Lattice`` drops the zero columns of
+its spanning set before the elimination: they never pivot, and the
+canonical basis does not depend on them.
 A check that reads a product once (the ``snf`` and ``Lattice.solve``
 certificates) takes its rows one at a time from ``product_rows``, so no
 product is held whole and the row dictionaries do not pile up between
@@ -110,9 +116,9 @@ class IntMatrix:
         through, and takes the rows over without copying them.
         """
         out = object.__new__(cls)
-        object.__setattr__(out, "_ent", tuple(rows))
-        object.__setattr__(out, "rows", m)
-        object.__setattr__(out, "cols", n)
+        _set_ent(out, tuple(rows))
+        _set_rows(out, m)
+        _set_cols(out, n)
         return out
 
     def __setattr__(self, name, value):
@@ -285,8 +291,10 @@ class IntMatrix:
     def product_rows(self, other: "IntMatrix"):
         """The rows of self @ other as {column: nonzero entry}, one at a time.
 
-        Row i sums self[i, k] times row k of other.  A check that reads the
-        product once goes through these, so the whole product is never held.
+        Row i sums self[i, k] times row k of other; a unit row {k: 1} yields
+        row k of other itself, which the caller must not change.  A check that
+        reads the product once goes through these, so the whole product is
+        never held.
         """
         if self.cols != other.rows:
             raise PreconditionError(
@@ -294,6 +302,11 @@ class IntMatrix:
             )
         brows = other._ent
         for row in self._ent:
+            if len(row) == 1:
+                ((k, a),) = row.items()
+                if a == 1:  # a unit row picks row k of other, which is shared, not copied
+                    yield brows[k]
+                    continue
             acc = {}
             for k, a in row.items():
                 if acc:
@@ -348,6 +361,11 @@ class IntMatrix:
             return f"IntMatrix.zeros({self.rows}, {self.cols})"
         body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.entries())
         return f"IntMatrix([{body}])"
+
+
+# _wrap sets the slots through their member descriptors, which skips the
+# lookup that object.__setattr__ makes on each call
+_set_ent, _set_rows, _set_cols = (IntMatrix.__dict__[name].__set__ for name in IntMatrix.__slots__)
 
 
 # -- Hermite form --------------------------------------------------------------
@@ -738,8 +756,9 @@ class Lattice:
             basis = IntMatrix.zeros(ambient, 0)
         if basis.rows != ambient:
             raise PreconditionError(f"basis has {basis.rows} rows in ambient Z^{ambient}")
-        # H without U, so no identity below the columns; H's zero columns are dropped
-        cols = list(basis.transpose()._ent)
+        # H without U, so no identity below the columns; zero columns of the basis
+        # never pivot and the canonical basis is unique, so they are dropped first
+        cols = [col for col in basis.transpose()._ent if col]
         pivot_rows = tuple(_hermite_columns(cols, ambient))
         h_t = IntMatrix._wrap(cols[: len(pivot_rows)], len(pivot_rows), ambient)
         object.__setattr__(self, "ambient", ambient)

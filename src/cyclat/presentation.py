@@ -296,10 +296,10 @@ def _certify_action(M: FinMod, pi: IntMatrix, perm: Sequence[int]) -> IntMatrix:
     m = pi.cols
     if sorted(perm) != list(range(m)) or any(len(c) not in (1, M.p) for c in cycles(perm, range(m))):
         raise InternalInvariantError("element permutation has a cycle of length other than 1 or p")
-    action = IntMatrix.unit_columns(m, perm)
-    if M.rel.solve(pi @ action - M.aut @ pi) is None:
+    # pi P gathers the columns of pi in the order perm gives: column j of P is e_perm[j]
+    if M.rel.solve(pi.submatrix(range(pi.rows), perm) - M.aut @ pi) is None:
         raise InternalInvariantError("element permutation does not follow the automorphism")
-    return action
+    return IntMatrix.unit_columns(m, perm)
 
 
 def _certify_kernel(M: FinMod, pi: IntMatrix, kernel: Lattice, what: str) -> None:

@@ -206,10 +206,14 @@ class FinMod:
 
     Required: aut maps rel into rel, and aut^p is the identity modulo rel,
     so the induced map on the quotient has order dividing p.  The group may
-    be infinite (rel not of full rank); enumeration then refuses.
+    be infinite (rel not of full rank); enumeration then refuses.  Whether
+    aut is the identity matrix is decided once, when the module is made:
+    such an aut keeps every lattice and is its own p-th power, so neither
+    requirement needs a solve, and it fixes every element, so the element
+    permutation is read off without acting on any element.
     """
 
-    __slots__ = ("p", "r", "rel", "aut", "shape", "_elems", "_index", "_perm", "_invariants")
+    __slots__ = ("p", "r", "rel", "aut", "shape", "_identity", "_elems", "_index", "_perm", "_invariants")
 
     def __init__(self, p: int, r: int, rel: Lattice, aut: IntMatrix, shape=None):
         if not is_prime(p):
@@ -218,15 +222,18 @@ class FinMod:
             raise PreconditionError("relation lattice lives in the wrong space")
         if aut.rows != r or aut.cols != r:
             raise PreconditionError("automorphism matrix has the wrong shape")
-        if rel.solve(aut @ rel.basis) is None:
+        one = IntMatrix.identity(r)
+        identity = aut == one
+        if not identity and rel.solve(aut @ rel.basis) is None:
             raise PreconditionError("automorphism does not preserve the relations")
-        if rel.solve(aut.pow(p) - IntMatrix.identity(r)) is None:
+        if not identity and rel.solve(aut.pow(p) - one) is None:
             raise PreconditionError("automorphism order does not divide p on the quotient")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "rel", rel)
         object.__setattr__(self, "aut", aut)
         object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "_identity", identity)
         object.__setattr__(self, "_elems", None)
         object.__setattr__(self, "_index", None)
         object.__setattr__(self, "_perm", None)
@@ -280,10 +287,14 @@ class FinMod:
     def act(self, v: Sequence[int]) -> tuple[int, ...]:
         return self.reduce(self.aut.apply(v))
 
-    def action_permutation(self) -> tuple[int, ...]:
+    def action_permutation(self) -> Sequence[int]:
         """Index of the image of each element under the action, in enumeration order."""
         if self._perm is None:
-            perm = tuple(self._index[self.act(e)] for e in self.enumerate())
+            elems = self.enumerate()
+            if self._identity:
+                perm = range(len(elems))
+            else:
+                perm = tuple(self._index[self.act(e)] for e in elems)
             object.__setattr__(self, "_perm", perm)
         return self._perm
 

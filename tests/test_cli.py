@@ -127,6 +127,25 @@ def test_module_entrypoint_runs():
     assert "core at 1: -1" in proc.stdout
 
 
+def test_a_closed_stdout_pipe_keeps_the_verdict():
+    # the output (about 180 KB) outgrows the pipe, so the child is still
+    # writing when the reader closes its end after the first line
+    src = str(pathlib.Path(cyclat.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cyclat", "module", "invariant-basis", "cyclicR(3,1)", "--p", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.readline() == b"invariant basis for cyclicR(3,1) over p = 5\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
 # ---------------------------------------------------------------------------
 # ring-identities
 
