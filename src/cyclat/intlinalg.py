@@ -304,7 +304,7 @@ class IntMatrix:
         for row in self._ent:
             if len(row) == 1:
                 ((k, a),) = row.items()
-                if a == 1:  # a unit row picks row k of other, which is shared, not copied
+                if a == 1:
                     yield brows[k]
                     continue
             acc = {}

@@ -291,10 +291,7 @@ class FinMod:
         """Index of the image of each element under the action, in enumeration order."""
         if self._perm is None:
             elems = self.enumerate()
-            if self._identity:
-                perm = range(len(elems))
-            else:
-                perm = tuple(self._index[self.act(e)] for e in elems)
+            perm = range(len(elems)) if self._identity else tuple(self._index[self.act(e)] for e in elems)
             object.__setattr__(self, "_perm", perm)
         return self._perm
 

@@ -328,6 +328,22 @@ def test_identity_action_is_restricted_without_a_power_or_a_solve(monkeypatch):
     assert len(powers) == 0 and len(solves) == 0
 
 
+def test_an_identity_automorphism_needs_no_solve_and_no_power(monkeypatch):
+    rel = Lattice.spanned_by([(4, 0, 0), (2, 6, 0), (0, 0, 1)], 3)
+    solves = count_calls(monkeypatch, Lattice, "solve")
+    powers = count_calls(monkeypatch, IntMatrix, "pow")
+    m = FinMod(5, 3, rel, IntMatrix.identity(3))
+    assert m.order() == 24
+    assert len(solves) == 0 and len(powers) == 0
+
+
+def test_an_identity_automorphism_acts_on_no_element(monkeypatch):
+    acts = count_calls(monkeypatch, FinMod, "act")
+    pres = build_aug(build(parse_modspec("triv(3)+triv(4)"), 5))
+    assert pres.size == 12 and pres.action == IntMatrix.identity(12)
+    assert len(acts) == 0
+
+
 @pytest.mark.parametrize("command", ["build", "present"])
 def test_oversize_module_is_refused_from_its_spec(monkeypatch, capsys, command):
     # the order 2^7919 is read off the spec, so no relation lattice is built

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import math
@@ -341,6 +342,99 @@ class TestRowStorage:
         ):
             with pytest.raises(IndexError):
                 bad()
+
+
+@st.composite
+def index_map(draw, m, n):
+    """An m x n index map: a permutation or the identity when square, unit
+    columns (column j is e_t for some t), or unit rows (row i is e_t)."""
+    kinds = ["unit columns", "unit rows"] + (["permutation", "identity"] if m == n else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "identity":
+        return IntMatrix.identity(n)
+    if kind == "permutation":
+        return IntMatrix.unit_columns(n, draw(st.permutations(range(n))))
+    if kind == "unit rows":
+        if n == 0:
+            return IntMatrix.zeros(m, 0)
+        return IntMatrix.unit_columns(n, draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))).transpose()
+    if m == 0:
+        return IntMatrix.zeros(0, n)
+    return IntMatrix.unit_columns(m, draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+
+
+@st.composite
+def index_map_operands(draw):
+    """A k x n matrix A of any kind and index maps P (m x k) and Q (n x l) around it."""
+    m, k, n, l = (draw(st.integers(0, 6)) for _ in range(4))
+    a = IntMatrix(draw(entry_rows(k, n, draw(KINDS))), shape=(k, n))
+    square = draw(st.booleans())
+    p = draw(index_map(k if square else m, k))
+    q = draw(index_map(n, n if square else l))
+    return a, p, q
+
+
+class TestRowSharing:
+    """A unit row {k: 1} of A makes row k of B the row of A @ B, shared and not
+    copied; no kernel may then change a row it did not make."""
+
+    @given(index_map_operands())
+    @settings(max_examples=200, deadline=None)
+    def test_index_map_products_are_the_textbook_products(self, operands):
+        a, p, q = operands
+        for x, y in ((p, a), (a, q), (p @ a, q)):
+            got = x @ y
+            assert got.tolist() == textbook_product(x.tolist(), y.tolist(), y.cols)
+            assert_public_form(got)
+
+    def test_a_unit_row_shares_the_row_it_picks(self):
+        b = IntMatrix([[BIG, 0, 3], [0, -1, 0], [5, 0, 0]])
+        perm = IntMatrix.unit_columns(3, [2, 0, 1])
+        for x in (IntMatrix.identity(3), perm, IntMatrix.unit_columns(3, [1, 1, 0]).transpose()):
+            got = x @ b
+            picked = [next(iter(row)) for row in x._ent]
+            assert all(row is b._ent[k] for row, k in zip(got._ent, picked))
+        # a scaled or longer row is a new row
+        got = IntMatrix([[2, 0, 0], [1, 1, 0], [0, 0, 1]]) @ b
+        assert [row is brow for row, brow in zip(got._ent, b._ent)] == [False, False, True]
+
+    @given(index_map_operands())
+    @settings(max_examples=60, deadline=None)
+    def test_kernels_leave_shared_rows_unchanged(self, operands):
+        a, p, q = operands
+        shared = [p @ a, a @ q, p @ a @ q, IntMatrix.identity(a.rows) @ a]
+        mats = [a, p, q, *shared]
+        snapshot = copy.deepcopy([mat._ent for mat in mats])
+        for x in shared:
+            x @ x.transpose()
+            x.transpose() @ x
+            x + x
+            x - x
+            hnf(x)
+            snf(x)
+            lattice = Lattice(x.rows, x)
+            assert lattice.solve(x) is not None
+            kernel_basis(x)
+            assert solve_columns(x, x) is not None
+            gram = x @ x.transpose()
+            assert abs_det(gram) == abs(det(gram))
+        assert [mat._ent for mat in mats] == snapshot
+
+
+@given(small_matrices(max_dim=5), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_zero_columns_leave_the_canonical_basis_alone(b, before, after):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    n = b.rows
+    padded = IntMatrix.hstack(IntMatrix.zeros(n, before), b, IntMatrix.zeros(n, after))
+    lattice = Lattice(n, b)
+    assert Lattice(n, padded) == lattice
+    assert Lattice(n, IntMatrix.hstack(b, IntMatrix.zeros(n, after))) == lattice
+    # sympy's Hermite form keeps another pivot convention: compare the lattices spanned
+    h = hermite_normal_form(sympy.Matrix(n, b.cols, [x for row in b.tolist() for x in row]))
+    assert lattice == Lattice(n, IntMatrix(h.tolist(), shape=(n, h.cols)))
 
 
 class TestHnf:

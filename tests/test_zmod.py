@@ -246,6 +246,26 @@ class TestValidation:
         rel = Lattice.spanned_by([(2, 0), (0, 4)], 2)
         with pytest.raises(PreconditionError):
             FinMod(2, 2, rel, IntMatrix([[0, 1], [1, 0]]))
+        # a unipotent aut of order p on Z^2, which moves (2, 0) outside the relations
+        with pytest.raises(PreconditionError):
+            FinMod(2, 2, rel, IntMatrix([[1, 0], [1, 1]]))
+
+    def test_an_aut_trivial_on_the_quotient_is_checked_by_solves(self, monkeypatch):
+        # multiplication by 3 is not the identity matrix but is the identity on Z/2
+        solves = []
+        solve = Lattice.solve
+        monkeypatch.setattr(Lattice, "solve", lambda *args: solves.append(args) or solve(*args))
+        m = mult_by(3, 2, 3)
+        assert len(solves) == 2
+        assert tuple(m.action_permutation()) == (0, 1)
+        assert m.is_trivial_action()
+
+    def test_an_identity_aut_fixes_every_element(self):
+        m = FinMod(3, 2, Lattice.spanned_by([(3, 0), (1, 2)], 2), IntMatrix.identity(2))
+        assert tuple(m.action_permutation()) == tuple(range(m.order())) == tuple(range(6))
+        assert [m.act(e) for e in m.enumerate()] == m.enumerate()
+        with pytest.raises(PreconditionError):
+            FinMod(3, 2, Lattice.full(2), IntMatrix.identity(3))
 
 
 class TestElements:
